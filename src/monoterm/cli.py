@@ -30,9 +30,23 @@ from .parser import ParseError, parse
 MAX_STEPS_ENV = "MONOTERM_MAX_STEPS"
 
 
-def _default_max_steps() -> int:
-    value = os.environ.get(MAX_STEPS_ENV)
-    return int(value) if value else DEFAULT_MAX_STEPS
+def _max_steps(flag: str | None) -> int:
+    """The oracle's step budget: --max-steps, else $MONOTERM_MAX_STEPS, else the default.
+
+    Raises ValueError with a one-line message unless it is an integer >= 1.
+    """
+    source, text = "--max-steps", flag
+    if text is None:
+        source, text = MAX_STEPS_ENV, os.environ.get(MAX_STEPS_ENV)
+        if not text:
+            return DEFAULT_MAX_STEPS
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"{source} must be an integer, got {text!r}") from None
+    if value < 1:
+        raise ValueError(f"{source} must be at least 1, got {value}")
+    return value
 
 
 def _oracle_json(agreement: Agreement) -> dict:
@@ -182,14 +196,14 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="decide one loop file")
     analyze.add_argument("file")
     analyze.add_argument("--oracle-check", action="store_true")
-    analyze.add_argument("--max-steps", type=int, default=None)
+    analyze.add_argument("--max-steps", default=None)
     analyze.add_argument("--format", choices=("text", "json"), default="text")
     analyze.set_defaults(func=cmd_analyze)
 
     bench = sub.add_parser("bench", help="decide every .loop file in a directory")
     bench.add_argument("dir")
     bench.add_argument("--oracle-check", action="store_true")
-    bench.add_argument("--max-steps", type=int, default=None)
+    bench.add_argument("--max-steps", default=None)
     bench.add_argument("--format", choices=("text", "json"), default="text")
     bench.set_defaults(func=cmd_bench)
 
@@ -206,8 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "max_steps", None) is None and hasattr(args, "max_steps"):
-        args.max_steps = _default_max_steps()
+    if hasattr(args, "max_steps"):
+        try:
+            args.max_steps = _max_steps(args.max_steps)
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 3
     return args.func(args)
 
 

@@ -18,6 +18,10 @@ negative ones).  Such instances, and branches that are only
 orbit-constant (x := x, or a fixed point of x := u*x + v) rather than a
 direct assignment, are routed to the walk, which evaluates directions
 at every value it actually visits.
+
+The walk first turns the guard and the branch condition into inclusive
+integer limits and each branch into a (coeff, offset, side, limit) tuple,
+so that every jump is plain integer comparisons and arithmetic.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .classifier import classify
 from .model import (
     AnalysisError,
     CycleWitness,
+    DiagonalFreeGuard,
     Direction,
     DivergenceWitness,
     Env,
@@ -41,7 +46,7 @@ from .model import (
     Verdict,
     direction_at,
 )
-from .psi import Escape, Trapped, escape_region
+from .psi import Escape, escape_region
 
 WALK_BUDGET = 10**6
 _CYCLE_EXPANSION_CAP = 50_000
@@ -256,43 +261,46 @@ def nt_formula(
 
 
 # --- Accelerated trajectory walk ---------------------------------------------
+#
+# The walk runs on integer limits computed once per loop.  A relation
+# becomes an inclusive limit (x < c is x <= c-1, x > c is x >= c+1), and a
+# branch becomes the tuple (coeff, offset, region_is_upper, limit): the
+# branch fires while x <= limit when region_is_upper, else while x >= limit.
+# The else-region's limit is the complement of the then-region's.
+
+_Branch = tuple[int, int, bool, int]
+_INCLUSIVE_SHIFT = {RelOp.LT: -1, RelOp.LE: 0, RelOp.GT: 1, RelOp.GE: 0}
 
 
-def _cycle_witness(loop: MultiPathLoop, entry: int, procedure: str | None) -> CycleWitness:
-    """Cycle witness anchored at the recurring value `entry`.
+def _limit(atom: DiagonalFreeGuard) -> tuple[bool, int]:
+    """(bounded above, inclusive limit) of the relation x op c."""
+    return atom.op.bounded_above, atom.bound + _INCLUSIVE_SHIFT[atom.op]
 
-    Prefers the full concrete value cycle; when that exceeds the expansion
-    cap (long arithmetic runs between branch switches), falls back to the
-    branch-switch values only, which still replay back to `entry`.
+
+def _cycle_witness(
+    branches: tuple[_Branch, _Branch], switch_values: list[int], period: int, procedure: str | None
+) -> CycleWitness:
+    """Cycle witness from the branch-switch values of one turn of the cycle.
+
+    Prefers the full concrete value cycle, expanded run by run; when the
+    period exceeds the expansion cap (long arithmetic runs between branch
+    switches), keeps the switch values only, which still replay back to
+    the first one.
     """
-    cond, values = loop.branch_cond, [entry]
-    x = entry
-    for _ in range(_CYCLE_EXPANSION_CAP):
-        upd = loop.then_update if cond.op.holds(x, cond.bound) else loop.else_update
-        x = upd.apply(x)
-        if x == entry:
-            return CycleWitness(tuple(values), procedure)
-        values.append(x)
-    switch_values = [entry]
-    val = entry
-    for _ in range(WALK_BUDGET):
-        val = _next_switch_value(loop, val)
-        if val == entry:
-            return CycleWitness(tuple(switch_values), procedure, sparse=True)
-        switch_values.append(val)
-    raise AssertionError("switch-value cycle did not close")
-
-
-def _next_switch_value(loop: MultiPathLoop, val: int) -> int:
-    cond = loop.branch_cond
-    in_then = cond.op.holds(val, cond.bound)
-    upd = loop.then_update if in_then else loop.else_update
-    if upd.coeff == 0:
-        return upd.offset
-    region_op = cond.op if in_then else cond.op.negated()
-    escape = escape_region(val, cond.bound, region_op, upd)
-    assert isinstance(escape, Escape)
-    return escape.value
+    if period > _CYCLE_EXPANSION_CAP:
+        return CycleWitness(tuple(switch_values), procedure, sparse=True)
+    then_br, else_br = branches
+    upper, limit = then_br[2], then_br[3]
+    values: list[int] = []
+    for x, end in zip(switch_values, switch_values[1:] + switch_values[:1]):
+        a, b, _, _ = then_br if (x <= limit if upper else x >= limit) else else_br
+        if a == 1:
+            values.extend(range(x, end, b))
+            continue
+        while x != end:
+            values.append(x)
+            x = a * x + b
+    return CycleWitness(tuple(values), procedure)
 
 
 def accelerated_walk(
@@ -308,60 +316,72 @@ def accelerated_walk(
 
     Each jump covers one maximal run of a single branch: a monotone run is
     collapsed to its first value outside the branch's region (with exact
-    step count), a direct assignment is one step.  A run that cannot leave
-    its region either freezes the guard truth forever (non-terminating) or
-    marches monotonically through the guard bound (terminating).
+    step count), a direct assignment is one step.  A branch at a fixed
+    point is a one-value cycle.  A run that cannot leave its region either
+    freezes the guard truth forever (non-terminating) or marches
+    monotonically through the guard bound (terminating).  A negative
+    coefficient that moves the value is non-monotone and unsupported.
     """
-    phi, cond = loop.guard, loop.branch_cond
-    assert phi.op.holds(x0, phi.bound)
-    visited: set[int] = set()
+    phi = loop.guard
+    phi_upper, phi_limit = _limit(phi)
+    assert x0 <= phi_limit if phi_upper else x0 >= phi_limit
+    cond_upper, cond_limit = _limit(loop.branch_cond)
+    then_u, else_u = loop.then_update, loop.else_update
+    branches = then_br, else_br = (
+        (then_u.coeff, then_u.offset, cond_upper, cond_limit),
+        (else_u.coeff, else_u.offset, not cond_upper, cond_limit + (1 if cond_upper else -1)),
+    )
+    steps_at: dict[int, int] = {}  # switch value -> steps taken to reach it, in walk order
     val, steps = x0, 0
     for _ in range(max_jumps):
         if trace is not None:
             trace.append(val)
-        in_then = cond.op.holds(val, cond.bound)
-        upd = loop.then_update if in_then else loop.else_update
-        if upd.coeff == 0:
-            nxt = upd.offset
-            steps += 1
-            if not phi.op.holds(nxt, phi.bound):
-                return Terminating(steps)
-            if nxt == val or nxt in visited:
-                return NonTerminating(rule, _cycle_witness(loop, nxt, procedure))
-            visited.add(val)
-            val = nxt
-            continue
-        region_op = cond.op if in_then else cond.op.negated()
-        escape = escape_region(val, cond.bound, region_op, upd)
-        if isinstance(escape, Trapped):
-            branch = "then" if in_then else "else"
-            if escape.direction is Direction.FLAT:
-                return NonTerminating(rule, CycleWitness((val,), procedure))
-            guard_safe = (phi.op.bounded_above and escape.direction is Direction.DOWN) or (
-                phi.op.bounded_below and escape.direction is Direction.UP
+        in_then = val <= cond_limit if cond_upper else val >= cond_limit
+        a, b, upper, limit = then_br if in_then else else_br
+        diff = (a - 1) * val + b
+        if diff == 0:
+            return NonTerminating(rule, CycleWitness((val,), procedure))
+        if a < 0:
+            return Unsupported(
+                f"non-monotone update x := {a}*x + {b}: alternates direction from {val}"
             )
-            if guard_safe:
-                return NonTerminating(
-                    rule,
-                    DivergenceWitness(
-                        steps,
-                        f"trapped in {branch}-branch moving {escape.direction.value}; "
-                        "the guard can never fail",
-                        procedure,
-                    ),
-                )
-            phi_escape = escape_region(val, phi.bound, phi.op, upd)
-            assert isinstance(phi_escape, Escape)
-            return Terminating(steps + phi_escape.steps)
-        if not phi.op.holds(escape.value, phi.bound):
-            phi_escape = escape_region(val, phi.bound, phi.op, upd)
-            assert isinstance(phi_escape, Escape)
-            return Terminating(steps + phi_escape.steps)
-        steps += escape.steps
-        if escape.value in visited:
-            return NonTerminating(rule, _cycle_witness(loop, escape.value, procedure))
-        visited.add(val)
-        val = escape.value
+        if a == 0 or (diff > 0) == upper:
+            # first value outside the branch's region, and the step count
+            if a == 0:
+                nxt, n = b, 1
+            elif a == 1:  # psi_a / psi_prime_a: one step past the last in-region value
+                n = (limit - val) // b + 1
+                nxt = val + n * b
+            else:  # exponential: logarithmically many steps
+                nxt, n = a * val + b, 1
+                while nxt <= limit if upper else nxt >= limit:
+                    nxt, n = a * nxt + b, n + 1
+            if nxt <= phi_limit if phi_upper else nxt >= phi_limit:
+                steps_at[val] = steps
+                steps += n
+                if nxt in steps_at:
+                    path = list(steps_at)
+                    cycle = path[path.index(nxt):]
+                    period = steps - steps_at[nxt]
+                    return NonTerminating(rule, _cycle_witness(branches, cycle, period, procedure))
+                val = nxt
+                continue
+            if a == 0:
+                return Terminating(steps + 1)
+        elif (diff > 0) != phi_upper:
+            # trapped: moves away from the branch's limit and from the guard's
+            return NonTerminating(
+                rule,
+                DivergenceWitness(
+                    steps,
+                    f"trapped in {'then' if in_then else 'else'}-branch moving "
+                    f"{'up' if diff > 0 else 'down'}; the guard can never fail",
+                    procedure,
+                ),
+            )
+        # the guard fails within this run
+        upd = then_u if in_then else else_u
+        return Terminating(steps + escape_region(val, phi.bound, phi.op, upd).steps)
     return Unsupported(f"trajectory walk exceeded {max_jumps} jumps")
 
 

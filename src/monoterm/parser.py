@@ -23,6 +23,7 @@ never a silent reinterpretation.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .model import (
@@ -147,7 +148,11 @@ class _Parser:
     def integer(self) -> int:
         negative = self.accept("-")
         tok = self.take("int", "an integer")
-        value = int(tok.text)
+        try:
+            value = int(tok.text)
+        except ValueError:  # over the interpreter's int-conversion digit limit
+            expected = f"an integer of at most {sys.get_int_max_str_digits()} digits"
+            raise LoopSyntaxError(tok.line, tok.col, expected, f"{len(tok.text)} digits") from None
         return -value if negative else value
 
     def relop(self) -> RelOp:

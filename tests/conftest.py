@@ -17,6 +17,16 @@ from monoterm import (
 
 OPS = {"<": RelOp.LT, "<=": RelOp.LE, ">": RelOp.GT, ">=": RelOp.GE}
 
+# Multipath loops whose x := -x branch is at its fixed point at x0.  In the
+# first it never moves (a one-value cycle); in the second the else-branch
+# carries x to 20, where x := -x moves and alternates direction.
+NEG_FIXED_POINT = (
+    "init x = 0; while (x >= -27) { if (x <= 16) { x := -1 * x; } else { x := x + 0; } }"
+)
+NEG_MOVING = (
+    "init x = 0; while (x >= -27) { if (x >= 16) { x := -1 * x; } else { x := x + 5; } }"
+)
+
 
 def single(op: str, c: int, upd: tuple[int, int], x0: int) -> LoopProgram:
     shape = SinglePathLoop(DiagonalFreeGuard("x", OPS[op], c), Update(*upd))

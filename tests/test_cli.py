@@ -5,6 +5,8 @@ from jsonschema import validate
 
 from monoterm.cli import main
 
+from conftest import NEG_FIXED_POINT, NEG_MOVING
+
 EXAMPLE1 = "init x = 15; while (x >= 5) { if (x >= 10) { x := x + 1; } else { x := x - 1; } }\n"
 EXAMPLE2 = "init x = 3; while (x <= 10) { if (x <= 5) { x := x + 2; } else { x := x - 3; } }\n"
 
@@ -152,3 +154,47 @@ def test_max_steps_env_override(capsys, loop_file, monkeypatch):
     main(["analyze", str(path), "--format", "json", "--oracle-check"])
     record = json.loads(capsys.readouterr().out)
     assert record["oracle"]["steps"] == 80
+
+
+def test_negative_coefficient_loops_exit_with_verdict_codes(capsys, loop_file):
+    fixed = loop_file("neg_fixed.loop", NEG_FIXED_POINT)
+    moving = loop_file("neg_moving.loop", NEG_MOVING)
+    assert main(["analyze", str(fixed), "--oracle-check"]) == 1
+    out = capsys.readouterr().out
+    assert 'witness: {"kind": "cycle", "cycle": [0], "period": 1}' in out
+    assert "oracle: cycle after 1 steps, agrees" in out
+    assert main(["analyze", str(moving)]) == 2
+    assert "non-monotone" in capsys.readouterr().out
+
+
+def test_overlong_integer_literal_is_a_syntax_error(capsys, tmp_path, loop_file):
+    literal = "9" * 4400
+    path = loop_file("big.loop", f"init x = {literal};\nwhile (x > 0) {{ x := x - 1; }}")
+    assert main(["analyze", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "1:10: expected an integer of at most" in err
+    loop_file("ok.loop", "init x = 3; while (x > 0) { x := x - 1; }")
+    assert main(["bench", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "big.loop  ERROR" in out and "Total: 1 analyzed, 1 errors" in out
+
+
+@pytest.mark.parametrize(
+    "argv_tail, env, message",
+    [
+        (["--max-steps", "0"], None, "--max-steps must be at least 1, got 0"),
+        (["--max-steps", "-5"], None, "--max-steps must be at least 1, got -5"),
+        (["--max-steps", "abc"], None, "--max-steps must be an integer, got 'abc'"),
+        ([], "abc", "MONOTERM_MAX_STEPS must be an integer, got 'abc'"),
+        ([], "0", "MONOTERM_MAX_STEPS must be at least 1, got 0"),
+    ],
+)
+def test_bad_step_budget_is_an_input_error(capsys, loop_file, monkeypatch, argv_tail, env, message):
+    if env is not None:
+        monkeypatch.setenv("MONOTERM_MAX_STEPS", env)
+    path = loop_file("up.loop", "init x = 1; while (x > 0) { x := x + 1; }")
+    for command in (["analyze", str(path)], ["bench", str(path.parent)]):
+        assert main(command + ["--oracle-check"] + argv_tail) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"

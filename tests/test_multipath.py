@@ -1,6 +1,9 @@
 import itertools
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from monoterm import (
     CycleDetected,
     CycleWitness,
@@ -23,8 +26,9 @@ from monoterm import (
 from monoterm.gen import multipath_for_row
 from monoterm.interpreter import step_values
 from monoterm.multipath import accelerated_walk, fixed_point_search
+from monoterm.parser import parse
 
-from conftest import multipath
+from conftest import NEG_FIXED_POINT, NEG_MOVING, multipath
 
 
 def test_case_table_is_total_and_within_range():
@@ -243,3 +247,59 @@ def test_all_rows_oracle_agreement_sample():
             assert not isinstance(verdict, Unsupported), (row, program)
             agreement = agreement_check(program, verdict, 10**6)
             assert agreement.ok, (row, program, verdict, agreement)
+
+
+# --- Negative coefficients and the random differential --------------------
+
+
+def test_negative_coefficient_fixed_point_is_one_value_cycle():
+    program = parse(NEG_FIXED_POINT)
+    v = decide(program)
+    assert v == NonTerminating("T3-row26", CycleWitness((0,)))
+    oracle = run(program, 100)
+    assert isinstance(oracle, CycleDetected) and oracle.period == 1
+
+
+def test_moving_negative_coefficient_is_unsupported_non_monotone():
+    v = decide(parse(NEG_MOVING))
+    assert isinstance(v, Unsupported)
+    assert "non-monotone" in v.reason
+
+
+def _replays(program, witness) -> bool:
+    """Each cycle value satisfies the guard and steps to the next; the last to the first."""
+    guard = program.shape.guard
+    values = witness.values
+    return all(
+        guard.op.holds(x, guard.bound)
+        and step_values(program, (x,)) == (values[(i + 1) % len(values)],)
+        for i, x in enumerate(values)
+    )
+
+
+@st.composite
+def small_multipath_programs(draw):
+    """Both branches take coefficients -2..5; a third of them start at their
+    fixed point, which the classifier calls constant whatever the coefficient."""
+    ops, ints = st.sampled_from(["<", "<=", ">", ">="]), st.integers(-30, 30)
+    x0 = draw(ints)
+
+    def update() -> tuple[int, int]:
+        coeff = draw(st.integers(-2, 5))
+        pinned = draw(st.integers(0, 2)) == 0
+        return coeff, (1 - coeff) * x0 if pinned else draw(st.integers(-10, 10))
+
+    return multipath(draw(ops), draw(ints), draw(ops), draw(ints), update(), update(), x0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_multipath_programs())
+def test_random_multipath_differential(program):
+    verdict = decide(program)  # never raises
+    if isinstance(verdict, Unsupported):
+        return
+    agreement = agreement_check(program, verdict, 10**5)
+    assert agreement.ok, (program, verdict, agreement)
+    if isinstance(verdict, NonTerminating) and isinstance(verdict.witness, CycleWitness):
+        assert not verdict.witness.sparse
+        assert _replays(program, verdict.witness), (program, verdict)

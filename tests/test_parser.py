@@ -148,3 +148,11 @@ def test_roundtrip_guard_constants(x0, c, op):
     assert p.init["x"] == x0
     assert p.shape.guard.bound == c
     assert parse(print_program(p)) == p
+
+
+def test_integer_literal_over_digit_limit_is_syntax_error():
+    text = "init x = 1;\nwhile (x < -" + "7" * 4400 + ") { x := x + 1; }"
+    with pytest.raises(LoopSyntaxError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (2, 13)
+    assert exc.value.found == "4400 digits"
