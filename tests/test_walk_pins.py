@@ -1,16 +1,16 @@
-"""Byte pins for the alternating-branch walk (rows 21-24).
+"""Byte pins for the alternating-branch walk (rows 21-24) and the diagonal decider.
 
-The walk's verdicts, iteration counts and witnesses are part of the
-output format: any rewrite of the walk must reproduce them byte for
-byte.  A change to a digest below is a change to that format.
+Their verdicts, iteration counts and witnesses are part of the output
+format: any rewrite of either must reproduce them byte for byte.  A
+change to a digest below is a change to that format.
 """
 
 import hashlib
 import json
 import random
 
-from monoterm import decide
-from monoterm.gen import multipath_for_row
+from monoterm import ClassKind, decide
+from monoterm.gen import diagonal_for_pair, multipath_for_row, random_diagonal
 
 ROWS = (21, 22, 23, 24)
 
@@ -23,6 +23,13 @@ BOUND_2000_SHA256 = "ce2cc3bf38f6f5dd36bb37c2103cfbe516748a7fccdf96fb8ef6dc4afcf
 # witness falls back to the sparse list of branch-switch values.
 SPARSE_CASES = ((6, 22), (94, 21), (163, 23), (275, 22), (276, 23), (369, 21))
 SPARSE_SHA256 = "66e2ad048c3c61b5bb3a4a62e3d58a3b651a568f60fa39842a21105ce9261712"
+
+# Diagonal loops for every class pair at bounds 30 and 2000, and random
+# diagonal loops at bound 10**6: every diagonal rule, T2 rows 1-8 included.
+PAIR_SEEDS = range(200)
+PAIR_SHA256 = "28c13f677858ff68ac0e088ee6d4a230679c8302fa13e01740a19d20952b8e8f"
+RANDOM_DIAGONAL_SEEDS = range(3000)
+RANDOM_DIAGONAL_SHA256 = "81da7d2f85596e1cff23366894e586030f64ed7d30ab576deba03e3814f074a2"
 
 
 def _decide(cases) -> list:
@@ -46,3 +53,21 @@ def test_sparse_cycle_witnesses_are_pinned():
     verdicts = _decide([(seed, row, 10**6) for seed, row in SPARSE_CASES])
     assert all(verdict.witness.sparse for verdict in verdicts)
     assert _digest(verdicts) == SPARSE_SHA256
+
+
+def test_diagonal_class_pair_output_is_pinned():
+    verdicts = [
+        decide(diagonal_for_pair(random.Random(seed), kind_x, kind_y, bound))
+        for bound in (30, 2000)
+        for kind_x in ClassKind
+        for kind_y in ClassKind
+        for seed in PAIR_SEEDS
+    ]
+    assert _digest(verdicts) == PAIR_SHA256
+
+
+def test_random_diagonal_output_is_pinned():
+    verdicts = [
+        decide(random_diagonal(random.Random(seed), 10**6)) for seed in RANDOM_DIAGONAL_SEEDS
+    ]
+    assert _digest(verdicts) == RANDOM_DIAGONAL_SHA256
