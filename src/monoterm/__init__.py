@@ -7,15 +7,8 @@ A bounded concrete interpreter serves as the independent oracle.
 """
 
 from .analyzer import decide
-from .classifier import classify, closed_form
-from .diagonal import (
-    decide_diagonal,
-    decide_diagonal_program,
-    normalize_direction,
-    ra_ra_rule,
-    rg_rg_rule,
-    search_decide,
-)
+from .classifier import classify
+from .diagonal import decide_diagonal_program, normalize_direction
 from .interpreter import (
     Agreement,
     BoundExhausted,
@@ -47,7 +40,6 @@ from .model import (
     Unsupported,
     Update,
     Verdict,
-    apply_update,
     eval_guard,
 )
 from .multipath import (
@@ -55,7 +47,6 @@ from .multipath import (
     accelerated_walk,
     case_row,
     decide_multipath,
-    fixed_point_search,
     nt_formula,
 )
 from .parser import (
@@ -66,33 +57,25 @@ from .parser import (
     parse,
     print_program,
 )
-from .psi import psi_a, psi_iter, psi_prime_a
+from .psi import psi_a, psi_prime_a
 from .single import decide_single
 
 __all__ = [
     "decide",
     "classify",
-    "closed_form",
     "parse",
     "print_program",
     "run",
     "agreement_check",
     "decide_single",
-    "decide_diagonal",
     "decide_diagonal_program",
     "decide_multipath",
     "nt_formula",
-    "fixed_point_search",
     "accelerated_walk",
     "case_row",
     "normalize_direction",
-    "ra_ra_rule",
-    "rg_rg_rule",
-    "search_decide",
     "psi_a",
     "psi_prime_a",
-    "psi_iter",
-    "apply_update",
     "eval_guard",
     "LoopProgram",
     "SinglePathLoop",

@@ -1,4 +1,4 @@
-"""Monotonicity classification of canonical updates and their closed forms."""
+"""Monotonicity classification of canonical updates."""
 
 from __future__ import annotations
 
@@ -30,25 +30,6 @@ def classify(upd: Update, start: int) -> MonotoneClass:
     if v == 0:
         return MonotoneClass.geometric(u, direction)
     return MonotoneClass.affine(u, v, direction)
-
-
-def closed_form(cls: MonotoneClass, start: int, n: int) -> int:
-    """Value after n applications of the classified update, exactly.
-
-    ARITHMETIC: start + step*n.  GEOMETRIC: start * ratio**n.
-    AFFINE: ratio**n * start + step * (ratio**n - 1) / (ratio - 1),
-    the geometric-series sum of the per-step offsets.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if cls.kind is ClassKind.CONSTANT:
-        return start if n == 0 else cls.pinned
-    if cls.kind is ClassKind.ARITHMETIC:
-        return start + cls.step * n
-    un = cls.ratio**n
-    if cls.kind is ClassKind.GEOMETRIC:
-        return start * un
-    return un * start + cls.step * (un - 1) // (cls.ratio - 1)
 
 
 def class_update(cls: MonotoneClass) -> Update:

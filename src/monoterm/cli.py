@@ -1,7 +1,7 @@
 """Command-line driver: analyze one loop file, bench a corpus, or generate one.
 
 Exit codes for `analyze`: 0 terminating, 1 non-terminating, 2 unsupported,
-3 input error.  Decision times cover the decider call only (never parsing
+3 input error (also for command-line usage errors).  Decision times cover the decider call only (never parsing
 or the oracle) and are reported in milliseconds with microsecond digits.
 """
 
@@ -146,7 +146,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         except (ParseError, OSError) as err:
             errors.append((path, str(err)))
     if args.format == "json":
-        print(json.dumps(records, indent=2))
+        errors_json = [{"file": str(path), "error": message} for path, message in errors]
+        print(json.dumps(records + errors_json, indent=2))
         return 0
     name_width = max([len(p.name) for p in files], default=4)
     header = f"{'file':<{name_width}}  {'verdict':<3}  {'rule':<14}  {'ms':>10}"
@@ -187,8 +188,16 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 3, not argparse's 2 (the unsupported code)."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="monoterm", description="Termination analysis for monotone linear integer loops"
     )
     sub = parser.add_subparsers(dest="command", required=True)

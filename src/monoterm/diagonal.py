@@ -1,24 +1,30 @@
-"""Decision procedures for diagonal-guard loops: while (x - y op c) { ... }.
+"""Decision procedure for diagonal-guard loops: while (x - y op c) { ... }.
 
 Loops are first normalized so the guard bounds the gap x - y from below
-(op in {>, >=}).  Opposite update directions decide immediately; equal
-arithmetic pairs reduce to the gap; everything else runs a bounded
-search over the exact iterates.
+(op in {>, >=}).  A constant side leaves one moving variable, x rising
+while y falls never exits, and two arithmetic sides give an arithmetic
+gap.  Every other pair runs one engine, the committed-gap run over the
+exact iterates, with its rule and stopping condition taken from a table.
 
-The search certifies non-termination with two ingredients: the stopping
+The run certifies non-termination with two ingredients: the stopping
 condition for the class pair (which names the divergence pattern) and a
 gap-commit test.  The commit test matters because the gap of mixed
 linear/exponential pairs can dip transiently before running away, and a
 stopping condition alone can fire inside such a dip on an instance that
 actually terminates (e.g. x := x - 100 from 40 against y := 2*y from
 -25 with guard x - y > -30 stops after two iterations, yet y < x - c,
-x < 0, y < 0 all hold at iteration 1).  Per-step gap differences form a
-geometric sequence, so their sign changes at most once; once the
-current difference and its limit sign are both non-negative the gap can
-never fall again, and the certificate is exact.
+x < 0, y < 0 all hold at iteration 1).  Per-step gap differences
+u1^n * dx - u2^n * dy are a sum of two geometric sequences, so their sign
+changes at most once; once the current difference and its limit sign
+are both non-negative the gap can never fall again, and the certificate
+is exact.  Pairs missing from the table (a linear side against a winning
+exponential one, or x falling while y rises) have a negative limit sign,
+so their run can only terminate or exhaust its budget.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from .classifier import classify
 from .model import (
@@ -48,6 +54,38 @@ RULE_RA_RA = "diag-ra-ra"
 RULE_RG_RG = "diag-rg-rg"
 RULE_FROZEN = "diag-gap-frozen"
 
+# Stopping conditions on (x, y, c).  The ratio conjuncts of rows 5-8 are not
+# re-tested: when they fail, the limit sign is negative and the run never
+# reaches the condition.
+_Stop = Callable[[int, int, int], bool]
+_ABOVE: _Stop = lambda x, y, c: x > y + c
+_BELOW: _Stop = lambda x, y, c: y < x - c and x < 0 and y < 0
+# Geometric pairs: the gap commit alone certifies; the condition records the
+# ratio comparison it confirms or overrides (with u1 = u2 the gap is
+# (x0 - y0) * u^n and follows the sign of x0 - y0).
+_RATIOS = "u1={u1} {cmp} u2={u2}, direction {direction}"
+
+_A, _G, _F = ClassKind.ARITHMETIC, ClassKind.GEOMETRIC, ClassKind.AFFINE
+_UP, _DOWN = Direction.UP, Direction.DOWN
+
+# (kind of x, kind of y, direction) -> (rule, condition name, predicate)
+_RUN_RULES: dict[tuple[ClassKind, ClassKind, Direction], tuple[str, str, _Stop | None]] = {
+    (_A, _G, _DOWN): ("T2-row1", "y < x - c, x < 0, y < 0", _BELOW),
+    (_A, _F, _DOWN): ("T2-row2", "y < x - c, x < 0, y < 0", _BELOW),
+    (_G, _A, _UP): ("T2-row3", "x > y + c", _ABOVE),
+    (_F, _A, _UP): ("T2-row4", "x > y + c", _ABOVE),
+    (_G, _F, _UP): ("T2-row5", "x > y + c, u1 >= u2", _ABOVE),
+    (_F, _G, _UP): ("T2-row6", "x > y + c, u1 >= u2", _ABOVE),
+    # both-affine pairs share the two-exponential stopping conditions
+    (_F, _F, _UP): ("T2-row5", "x > y + c, u1 >= u2", _ABOVE),
+    (_G, _F, _DOWN): ("T2-row7", "y < x - c, x < 0, y < 0, u1 <= u2", _BELOW),
+    (_F, _G, _DOWN): ("T2-row8", "y < x - c, x < 0, y < 0, u1 <= u2", _BELOW),
+    (_F, _F, _DOWN): ("T2-row7", "y < x - c, x < 0, y < 0, u1 <= u2", _BELOW),
+    (_G, _G, _UP): (RULE_RG_RG, _RATIOS, None),
+    (_G, _G, _DOWN): (RULE_RG_RG, _RATIOS, None),
+}
+_NO_RULE = ("", "", None)  # negative limit sign: the run never certifies
+
 
 def _sign(n: int) -> int:
     return (n > 0) - (n < 0)
@@ -70,12 +108,11 @@ def decide_diagonal_program(
 ) -> Verdict:
     """Normalize, classify both updates, and decide."""
     norm = normalize_direction(loop)
-    swapped = norm is not loop
     x0, y0 = init[norm.guard.lhs], init[norm.guard.rhs]
     cls_x = classify(norm.lhs_update, x0)
     cls_y = classify(norm.rhs_update, y0)
-    verdict = decide_diagonal(norm, cls_x, cls_y, x0, y0, search_budget)
-    if swapped and isinstance(verdict, NonTerminating) and isinstance(
+    verdict = _decide(norm, cls_x, cls_y, x0, y0, search_budget)
+    if norm is not loop and isinstance(verdict, NonTerminating) and isinstance(
         verdict.witness, CycleWitness
     ):
         unswapped = tuple((b, a) for a, b in verdict.witness.values)
@@ -83,66 +120,38 @@ def decide_diagonal_program(
     return verdict
 
 
-def decide_diagonal(
-    norm: DiagonalLoop,
-    cls_x: MonotoneClass,
-    cls_y: MonotoneClass,
-    x0: int,
-    y0: int,
-    search_budget: int = SEARCH_BUDGET,
+def _decide(
+    norm: DiagonalLoop, cls_x: MonotoneClass, cls_y: MonotoneClass, x0: int, y0: int, budget: int
 ) -> Verdict:
     """Decide a normalized diagonal loop (guard op in {>, >=})."""
     op, c = norm.guard.op, norm.guard.bound
-    assert op.bounded_below, "decide_diagonal needs a normalized loop"
     if not op.holds(x0 - y0, c):
         return Terminating(0)
     dir_x, dir_y = cls_x.direction, cls_y.direction
     if Direction.FLAT in (dir_x, dir_y):
         return _decide_with_pinned(norm, cls_x, cls_y, x0, y0)
-    if dir_x is not dir_y:
-        if dir_x is Direction.UP:
-            return NonTerminating(
-                RULE_OPPOSITE,
-                FormulaWitness(
-                    conjuncts=(
-                        ("initial values satisfy guard", True),
-                        ("x strictly increases and y strictly decreases", True),
-                    ),
-                    bindings=(("x0", x0), ("y0", y0), ("c", c)),
+    if dir_x is Direction.UP and dir_y is Direction.DOWN:
+        return NonTerminating(
+            RULE_OPPOSITE,
+            FormulaWitness(
+                conjuncts=(
+                    ("initial values satisfy guard", True),
+                    ("x strictly increases and y strictly decreases", True),
                 ),
-            )
-        steps = _gap_exit_count(norm, x0, y0, search_budget)
-        return Terminating(steps)
-    both = (cls_x.kind, cls_y.kind)
-    if both == (ClassKind.ARITHMETIC, ClassKind.ARITHMETIC):
-        verdict = ra_ra_rule(cls_x.step, cls_y.step, dir_x)
-        if isinstance(verdict, Terminating):
-            return Terminating(_gap_exit_count(norm, x0, y0, search_budget))
-        return verdict
-    if both == (ClassKind.GEOMETRIC, ClassKind.GEOMETRIC):
-        return rg_rg_rule(cls_x.ratio, cls_y.ratio, x0, y0, dir_x, op, c, search_budget)
-    if cls_x.kind is ClassKind.ARITHMETIC and dir_x is Direction.UP:
-        # exponential y outgrows linear x
-        return Terminating(_gap_exit_count(norm, x0, y0, search_budget))
-    if cls_y.kind is ClassKind.ARITHMETIC and dir_x is Direction.DOWN:
-        # exponentially decaying x falls below linear y
-        return Terminating(_gap_exit_count(norm, x0, y0, search_budget))
-    return search_decide(norm, cls_x, cls_y, table2_row(cls_x, cls_y), x0, y0, search_budget)
-
-
-def ra_ra_rule(v1: int, v2: int, direction: Direction) -> Verdict:
-    """Both updates arithmetic with the same direction: compare the steps."""
-    if direction is Direction.UP:
-        nonterminating = v1 >= v2
-        reason = f"v1={v1} >= v2={v2}" if nonterminating else f"v1={v1} < v2={v2}"
-    else:
-        nonterminating = abs(v1) <= abs(v2)
-        reason = (
-            f"|v1|={abs(v1)} <= |v2|={abs(v2)}"
-            if nonterminating
-            else f"|v1|={abs(v1)} > |v2|={abs(v2)}"
+                bindings=(("x0", x0), ("y0", y0), ("c", c)),
+            ),
         )
-    if nonterminating:
+    upd_x, upd_y = norm.lhs_update, norm.rhs_update
+    u1, u2 = upd_x.coeff, upd_y.coeff
+    if u1 == u2 == 1:
+        # the gap moves by v1 - v2 each step
+        v1, v2 = upd_x.offset, upd_y.offset
+        if v1 < v2:
+            return Terminating(escape_region(x0 - y0, c, op, Update(1, v1 - v2)).steps)
+        if dir_x is Direction.UP:
+            reason = f"v1={v1} >= v2={v2}"
+        else:
+            reason = f"|v1|={abs(v1)} <= |v2|={abs(v2)}"
         return NonTerminating(
             RULE_RA_RA,
             FormulaWitness(
@@ -150,121 +159,10 @@ def ra_ra_rule(v1: int, v2: int, direction: Direction) -> Verdict:
                 bindings=(("v1", v1), ("v2", v2)),
             ),
         )
-    return Terminating()
-
-
-def rg_rg_rule(
-    u1: int,
-    u2: int,
-    x0: int,
-    y0: int,
-    direction: Direction,
-    op: RelOp,
-    c: int,
-    budget: int = SEARCH_BUDGET,
-) -> Verdict:
-    """Both updates geometric with the same direction.
-
-    The ratio comparison (u1 >= u2 non-terminating when moving up, u1 <= u2
-    when moving down) describes the asymptote but misses transient behaviour:
-    with u1 = u2 the gap is (x0 - y0) * u^n and follows the sign of x0 - y0,
-    and even unequal ratios allow an early guard violation before the
-    dominant side takes over.  The committed-gap run decides exactly; the
-    witness records the ratio comparison it confirms or overrides.
-    """
-    condition = f"u1={u1} {'>=' if u1 >= u2 else '<'} u2={u2}, direction {direction.value}"
-    return _committed_gap_run(
-        Update(u1, 0), Update(u2, 0), x0, y0, op, c, RULE_RG_RG, condition, None, budget
-    )
-
-
-_T2_ROWS: dict[tuple[ClassKind, ClassKind, Direction], int] = {
-    (ClassKind.ARITHMETIC, ClassKind.GEOMETRIC, Direction.DOWN): 1,
-    (ClassKind.ARITHMETIC, ClassKind.AFFINE, Direction.DOWN): 2,
-    (ClassKind.GEOMETRIC, ClassKind.ARITHMETIC, Direction.UP): 3,
-    (ClassKind.AFFINE, ClassKind.ARITHMETIC, Direction.UP): 4,
-    (ClassKind.GEOMETRIC, ClassKind.AFFINE, Direction.UP): 5,
-    (ClassKind.AFFINE, ClassKind.GEOMETRIC, Direction.UP): 6,
-    # both-affine pairs share the two-exponential stopping conditions
-    (ClassKind.AFFINE, ClassKind.AFFINE, Direction.UP): 5,
-    (ClassKind.GEOMETRIC, ClassKind.AFFINE, Direction.DOWN): 7,
-    (ClassKind.AFFINE, ClassKind.GEOMETRIC, Direction.DOWN): 8,
-    (ClassKind.AFFINE, ClassKind.AFFINE, Direction.DOWN): 7,
-}
-
-
-def table2_row(cls_x: MonotoneClass, cls_y: MonotoneClass) -> int:
-    key = (cls_x.kind, cls_y.kind, cls_x.direction)
-    if key not in _T2_ROWS:
-        raise ValueError(f"no stopping-condition row for {key}")
-    return _T2_ROWS[key]
-
-
-def _condition_name(row: int) -> str:
-    if row in (1, 2):
-        return "y < x - c, x < 0, y < 0"
-    if row in (3, 4):
-        return "x > y + c"
-    if row in (5, 6):
-        return "x > y + c, u1 >= u2"
-    return "y < x - c, x < 0, y < 0, u1 <= u2"
-
-
-def search_decide(
-    norm: DiagonalLoop,
-    cls_x: MonotoneClass,
-    cls_y: MonotoneClass,
-    row: int,
-    x0: int,
-    y0: int,
-    budget: int = SEARCH_BUDGET,
-) -> Verdict:
-    """Iterate the loop, stopping at guard violation or a certified divergence.
-
-    The stopping condition for the class pair must hold together with the
-    gap commit (see module docstring).  For rows 1-2 the x side shrinks
-    only linearly, so once everything but x < 0 holds the first qualifying
-    iteration is computed closed-form instead of simulated.
-    """
-    op, c = norm.guard.op, norm.guard.bound
-    u1 = cls_x.ratio if cls_x.is_exponential else None
-    u2 = cls_y.ratio if cls_y.is_exponential else None
-
-    def condition(x: int, y: int) -> bool:
-        if row in (1, 2):
-            return y < x - c and x < 0 and y < 0
-        if row in (3, 4):
-            return x > y + c
-        if row in (5, 6):
-            return x > y + c and u1 >= u2
-        return y < x - c and x < 0 and y < 0 and u1 <= u2
-
-    fast_forward = None
-    if row in (1, 2):
-        v1 = cls_x.step  # negative; x falls below zero only linearly fast
-
-        def fast_forward(n: int, x: int, y: int) -> Verdict | None:
-            if y < x - c and y < 0 and x >= 0:
-                extra = (x + (-v1)) // (-v1)  # first k with x + v1*k < 0
-                return NonTerminating(
-                    f"T2-row{row}",
-                    DivergenceWitness(n + extra, _condition_name(row)),
-                )
-            return None
-
-    return _committed_gap_run(
-        norm.lhs_update,
-        norm.rhs_update,
-        x0,
-        y0,
-        op,
-        c,
-        f"T2-row{row}",
-        _condition_name(row),
-        condition,
-        budget,
-        fast_forward,
-    )
+    rule, condition, stop = _RUN_RULES.get((cls_x.kind, cls_y.kind, dir_x), _NO_RULE)
+    cmp = ">=" if u1 >= u2 else "<"
+    condition = condition.format(u1=u1, u2=u2, cmp=cmp, direction=dir_x.value)
+    return _committed_gap_run(upd_x, upd_y, x0, y0, op, c, rule, condition, stop, budget)
 
 
 def _committed_gap_run(
@@ -275,63 +173,43 @@ def _committed_gap_run(
     op: RelOp,
     c: int,
     rule: str,
-    condition_name: str,
-    condition,
+    condition: str,
+    stop: _Stop | None,
     budget: int,
-    fast_forward=None,
 ) -> Verdict:
-    """Shared exact search: terminate at guard violation, certify divergence
-    at the first committed iterate where the stopping condition holds."""
-    rate_x = upd_x.coeff if upd_x.coeff > 1 else 1
-    rate_y = upd_y.coeff if upd_y.coeff > 1 else 1
+    """Exact search: terminate at guard violation, certify divergence at the
+    first committed iterate where the stopping condition holds.
+
+    Both coefficients are >= 1 here.  When x moves linearly (T2 rows 1-2)
+    it falls below zero only linearly fast, so once everything but x < 0
+    holds, the first qualifying iteration is computed closed-form instead
+    of simulated.
+    """
+    u1, u2 = upd_x.coeff, upd_y.coeff
     dx0 = upd_x.first_difference(x0)
     dy0 = upd_y.first_difference(y0)
-    if rate_x > rate_y:
+    if u1 > u2:
         limit_sign = _sign(dx0)
-    elif rate_x < rate_y:
+    elif u1 < u2:
         limit_sign = _sign(-dy0)
     else:
         limit_sign = _sign(dx0 - dy0)
     if limit_sign == 0:
         # gap differences are identically zero: the gap never changes
-        return NonTerminating(
-            RULE_FROZEN,
-            DivergenceWitness(0, f"gap frozen at {x0 - y0}"),
-        )
+        return NonTerminating(RULE_FROZEN, DivergenceWitness(0, f"gap frozen at {x0 - y0}"))
     x, y = x0, y0
     for n in range(1, budget + 1):
         x, y = upd_x.apply(x), upd_y.apply(y)
         if not op.holds(x - y, c):
             return Terminating(n)
-        if limit_sign < 0:
-            continue  # gap eventually falls forever; only termination can end this
-        committed = upd_x.first_difference(x) - upd_y.first_difference(y) >= 0
-        if not committed:
-            continue
-        if condition is None or condition(x, y):
-            return NonTerminating(rule, DivergenceWitness(n, condition_name))
-        if fast_forward is not None:
-            verdict = fast_forward(n, x, y)
-            if verdict is not None:
-                return verdict
+        if limit_sign < 0 or upd_x.first_difference(x) < upd_y.first_difference(y):
+            continue  # the gap may still fall; with a negative limit sign, forever
+        if stop is None or stop(x, y, c):
+            return NonTerminating(rule, DivergenceWitness(n, condition))
+        if u1 == 1 and y < x - c and y < 0 <= x:
+            extra = x // -upd_x.offset + 1  # first k with x + v1*k < 0
+            return NonTerminating(rule, DivergenceWitness(n + extra, condition))
     return Unsupported(f"search budget of {budget} iterations exceeded")
-
-
-def _gap_exit_count(norm: DiagonalLoop, x0: int, y0: int, budget: int) -> int:
-    """Iterations until the guard fails, for runs known to terminate."""
-    op, c = norm.guard.op, norm.guard.bound
-    upd_x, upd_y = norm.lhs_update, norm.rhs_update
-    if upd_x.coeff == 1 and upd_y.coeff == 1:
-        step = upd_x.offset - upd_y.offset
-        escape = escape_region(x0 - y0, c, op, Update(1, step))
-        assert isinstance(escape, Escape)
-        return escape.steps
-    x, y = x0, y0
-    for n in range(1, budget + 1):
-        x, y = upd_x.apply(x), upd_y.apply(y)
-        if not op.holds(x - y, c):
-            return n
-    raise AssertionError("terminating gap run exceeded its budget")
 
 
 def _decide_with_pinned(

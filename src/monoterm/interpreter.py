@@ -19,7 +19,6 @@ from .model import (
     Terminating,
     Unsupported,
     Verdict,
-    eval_guard,
 )
 
 DEFAULT_MAX_STEPS = 10**6
@@ -87,21 +86,15 @@ def run(
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    guard_op = p.shape.guard.op
+    guard_op, bound = p.shape.guard.op, p.shape.guard.bound
     env = p.initial_env()
-    var_order = p.variables()
-    values = tuple(env[v] for v in var_order)
-
-    def guard(vals: tuple[int, ...]) -> bool:
-        e = dict(zip(var_order, vals))
-        return eval_guard(p.shape.guard, e)
-
+    values = tuple(env[v] for v in p.variables())
     seen: dict[tuple[int, ...], int] = {}
     steps = 0
     safe_run = 0
     metric = _guard_metric(p, values)
     while True:
-        if not guard(values):
+        if not guard_op.holds(metric, bound):
             return TerminatedIn(steps)
         if values in seen:
             return CycleDetected(TraceState(values, seen[values]), steps - seen[values])
@@ -138,9 +131,10 @@ def agreement_check(
     """Cross-check a decider verdict against concrete execution.
 
     Terminating verdicts must terminate (and match the iteration count when
-    the verdict carries one); NonTerminating verdicts must either cycle or
-    exhaust the budget, the latter flagged as unconfirmed/consistent
-    divergence rather than proof.
+    the verdict carries one), unless that count exceeds max_steps and the
+    run merely exhausts the budget (flagged as unconfirmed termination);
+    NonTerminating verdicts must either cycle or exhaust the budget, the
+    latter flagged as unconfirmed/consistent divergence rather than proof.
     """
     if isinstance(verdict, Unsupported):
         raise ValueError("agreement_check needs a Terminating or NonTerminating verdict")
@@ -156,6 +150,13 @@ def agreement_check(
                     f"oracle ran {result.steps}",
                 )
             return Agreement(True, None, result)
+        if (
+            isinstance(result, BoundExhausted)
+            and verdict.iterations is not None
+            and verdict.iterations > max_steps
+        ):
+            # the exit lies past the oracle's budget: nothing to contradict
+            return Agreement(True, "unconfirmed termination", result)
         return Agreement(False, None, result, f"decided terminating, oracle saw {result}")
     result = run(p, max_steps, divergence_window=divergence_window)
     if isinstance(result, CycleDetected):

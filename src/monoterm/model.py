@@ -7,6 +7,7 @@ nothing here may truncate or wrap.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -33,13 +34,7 @@ class RelOp(Enum):
     GE = ">="
 
     def holds(self, lhs: int, rhs: int) -> bool:
-        if self is RelOp.LT:
-            return lhs < rhs
-        if self is RelOp.LE:
-            return lhs <= rhs
-        if self is RelOp.GT:
-            return lhs > rhs
-        return lhs >= rhs
+        return _COMPARE[self._value_](lhs, rhs)
 
     def negated(self) -> "RelOp":
         """Logical complement over the integers: not(x < c) == x >= c."""
@@ -59,6 +54,7 @@ class RelOp(Enum):
         return self in (RelOp.LT, RelOp.LE)
 
 
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _NEGATION = {RelOp.LT: RelOp.GE, RelOp.LE: RelOp.GT, RelOp.GT: RelOp.LE, RelOp.GE: RelOp.LT}
 _MIRROR = {RelOp.LT: RelOp.GT, RelOp.LE: RelOp.GE, RelOp.GT: RelOp.LT, RelOp.GE: RelOp.LE}
 
@@ -129,11 +125,6 @@ class Update:
     def first_difference(self, x: int) -> int:
         """apply(x) - x; its sign is invariant along the orbit for coeff >= 0."""
         return (self.coeff - 1) * x + self.offset
-
-
-def apply_update(upd: Update, x: int) -> int:
-    """Return coeff * x + offset exactly."""
-    return upd.apply(x)
 
 
 class Direction(Enum):

@@ -231,9 +231,7 @@ class _FormulaContext:
         raise ValueError(f"unknown conjunct token {token!r}")
 
 
-def nt_formula(
-    row: int, loop: MultiPathLoop, x0: int, cls1: MonotoneClass, cls2: MonotoneClass
-) -> tuple[bool, FormulaWitness]:
+def nt_formula(row: int, loop: MultiPathLoop, x0: int) -> tuple[bool, FormulaWitness]:
     """Evaluate the row's non-termination formula exactly.
 
     Returns (satisfied, witness); the witness lists the evaluated conjuncts
@@ -385,15 +383,6 @@ def accelerated_walk(
     return Unsupported(f"trajectory walk exceeded {max_jumps} jumps")
 
 
-def fixed_point_search(
-    loop: MultiPathLoop, x0: int, row: int, max_jumps: int = WALK_BUDGET
-) -> Verdict:
-    """Fixed-point search for the alternating-branch cases (rows 21-24)."""
-    assert 21 <= row <= 24
-    procedure = "alg3" if row in (21, 22) else "alg4"
-    return accelerated_walk(loop, x0, f"T3-row{row}", procedure, max_jumps)
-
-
 # --- Dispatch -----------------------------------------------------------------
 
 
@@ -447,9 +436,10 @@ def decide_multipath(
         assert not isinstance(verdict, NonTerminating)
         return verdict
     if 21 <= row <= 24:
-        return fixed_point_search(loop, x0, row, walk_budget)
+        # fixed-point search: Algorithm 3 for rows 21-22, Algorithm 4 for rows 23-24
+        return accelerated_walk(loop, x0, rule, "alg3" if row in (21, 22) else "alg4", walk_budget)
     if 17 <= row <= 20:
-        satisfied, witness = nt_formula(row, loop, x0, cls1, cls2)
+        satisfied, witness = nt_formula(row, loop, x0)
         if satisfied:
             return NonTerminating(rule, witness)
         in_then = loop.branch_cond.op.holds(x0, loop.branch_cond.bound)
@@ -459,7 +449,7 @@ def decide_multipath(
         return Terminating(escape.steps)
     if _needs_walk(row, loop, cls1, cls2):
         return accelerated_walk(loop, x0, rule, None, walk_budget)
-    satisfied, witness = nt_formula(row, loop, x0, cls1, cls2)
+    satisfied, witness = nt_formula(row, loop, x0)
     if satisfied:
         return NonTerminating(rule, witness)
     if 25 <= row <= 28:

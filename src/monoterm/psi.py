@@ -4,7 +4,7 @@ Core question answered here: starting from d and repeatedly applying a
 monotone update, what is the first value that falsifies (x op c1)?  For
 arithmetic updates there are closed forms (psi_a going up, psi_prime_a
 going down); geometric/affine orbits escape any bound within a
-logarithmic number of steps, so they are simply iterated (psi_iter).
+logarithmic number of steps, so escape_region simply iterates them.
 """
 
 from __future__ import annotations
@@ -12,10 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import AnalysisError, Direction, RelOp, Update
-
-
-class NonEscapingOrbitError(AnalysisError):
-    """The orbit moves away from (or sits on) the bound it was asked to cross."""
 
 
 def psi_a(d: int, c1: int, v: int, op: RelOp) -> int:
@@ -50,28 +46,6 @@ def psi_prime_a(d: int, c1: int, step: int, op: RelOp) -> int:
         raise AnalysisError(f"psi_prime_a start {d} does not satisfy x {op.value} {c1}")
     bottom = c1 if op is RelOp.GE else c1 + 1
     return (bottom - step) + ((d - bottom) % step)
-
-
-def psi_iter(d: int, c1: int, upd: Update, op: RelOp) -> int:
-    """Iterate x := coeff*x + offset from d until (x op c1) first fails.
-
-    Used for geometric/affine updates; takes logarithmically many steps in
-    the distance to the bound.  Raises NonEscapingOrbitError when the orbit
-    does not move toward violating the bound (it would loop forever).
-    """
-    if not op.holds(d, c1):
-        raise AnalysisError(f"psi_iter start {d} does not satisfy x {op.value} {c1}")
-    diff = upd.first_difference(d)
-    escaping_up = op.bounded_above
-    if diff == 0 or (diff > 0) != escaping_up:
-        raise NonEscapingOrbitError(
-            f"orbit of x := {upd.coeff}*x + {upd.offset} from {d} never falsifies "
-            f"x {op.value} {c1}"
-        )
-    x = upd.apply(d)
-    while op.holds(x, c1):
-        x = upd.apply(x)
-    return x
 
 
 @dataclass(frozen=True)

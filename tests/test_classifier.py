@@ -8,7 +8,6 @@ from monoterm import (
     NonMonotoneUpdateError,
     Update,
     classify,
-    closed_form,
 )
 
 
@@ -70,32 +69,13 @@ def test_negative_coefficient_fixed_point_is_constant():
     assert classify(Update(-1, 2), 1).kind is ClassKind.CONSTANT
 
 
-def test_closed_form_examples():
-    assert closed_form(classify(Update(1, -1), 15), 15, 5) == 10
-    assert closed_form(classify(Update(2, 0), 3), 3, 4) == 48
-    cls = classify(Update(2, 1), 1)
-    assert closed_form(cls, 1, 3) == iterate(Update(2, 1), 1, 3) == 15
-
-
-def test_constant_closed_form_zero_vs_later():
-    cls = classify(Update(0, 9), 5)
-    assert closed_form(cls, 5, 0) == 5
-    assert closed_form(cls, 5, 1) == closed_form(cls, 5, 10) == 9
-
-
 updates = st.tuples(st.integers(0, 4), st.integers(-10, 10)).map(lambda t: Update(*t))
-
-
-@given(updates, st.integers(-50, 50), st.integers(0, 40))
-def test_closed_form_agrees_with_iteration(upd, x0, n):
-    cls = classify(upd, x0)
-    assert closed_form(cls, x0, n) == iterate(upd, x0, n)
 
 
 @given(updates, st.integers(-50, 50))
 def test_direction_soundness(upd, x0):
     cls = classify(upd, x0)
-    values = [closed_form(cls, x0, n) for n in range(0, 101)]
+    values = [iterate(upd, x0, n) for n in range(0, 101)]
     pairs = list(zip(values, values[1:]))
     if cls.direction is Direction.UP:
         assert all(b > a for a, b in pairs)

@@ -112,6 +112,28 @@ def test_bench_json_is_schema_valid_array(capsys, tmp_path, loop_file):
         validate(record, VERDICT_SCHEMA)
 
 
+def test_bench_json_appends_error_records(capsys, tmp_path, loop_file):
+    loop_file("a.loop", EXAMPLE1)
+    loop_file("b.loop", "totally not a loop")
+    (tmp_path / "c.loop").mkdir()  # unreadable
+    assert main(["bench", str(tmp_path), "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    validate(records[0], VERDICT_SCHEMA)
+    assert [sorted(r) for r in records[1:]] == [["error", "file"], ["error", "file"]]
+    names = ("a.loop", "b.loop", "c.loop")
+    assert [r["file"] for r in records] == [str(tmp_path / name) for name in names]
+
+
+def test_usage_errors_are_input_errors(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "a.loop", "--format", "xml"])
+    assert exc.value.code == 3
+    assert "invalid choice" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+
+
 def test_bench_empty_dir(capsys, tmp_path):
     assert main(["bench", str(tmp_path)]) == 0
     out = capsys.readouterr().out

@@ -2,7 +2,6 @@ import random
 
 from monoterm import (
     CycleDetected,
-    Direction,
     DivergenceWitness,
     NonTerminating,
     RelOp,
@@ -14,8 +13,6 @@ from monoterm import (
     decide,
     decide_single,
     normalize_direction,
-    ra_ra_rule,
-    rg_rg_rule,
     run,
 )
 from monoterm.classifier import class_update
@@ -49,9 +46,13 @@ def test_both_arithmetic_rules():
 
 
 def test_ra_ra_rule_direct():
-    assert isinstance(ra_ra_rule(3, 3, Direction.UP), NonTerminating)
-    assert isinstance(ra_ra_rule(-2, -5, Direction.DOWN), NonTerminating)
-    assert isinstance(ra_ra_rule(-5, -2, Direction.DOWN), Terminating)
+    v = decide(diagonal(">", 0, (1, 3), (1, 3), 5, 1))
+    assert isinstance(v, NonTerminating) and v.rule == "diag-ra-ra"
+    assert v.witness.conjuncts[1] == ("v1=3 >= v2=3", True)
+    v = decide(diagonal(">", 0, (1, -2), (1, -5), 5, 1))
+    assert isinstance(v, NonTerminating) and v.rule == "diag-ra-ra"
+    assert v.witness.conjuncts[1] == ("|v1|=2 <= |v2|=5", True)
+    assert decide(diagonal(">", 0, (1, -5), (1, -2), 5, 1)) == Terminating(2)
 
 
 def test_both_geometric_rules():
@@ -81,8 +82,9 @@ def test_geometric_transient_dip_terminates():
 
 
 def test_rg_rg_rule_direct():
-    v = rg_rg_rule(3, 2, 4, 2, Direction.UP, RelOp.GT, 0)
-    assert isinstance(v, NonTerminating)
+    v = decide(diagonal(">", 0, (3, 0), (2, 0), 4, 2))
+    assert isinstance(v, NonTerminating) and v.rule == "diag-rg-rg"
+    assert v.witness.condition == "u1=3 >= u2=2, direction up"
 
 
 def test_opposite_directions():
@@ -138,6 +140,14 @@ def test_search_budget_exhaustion_reports_unsupported():
     full = decide(program)
     assert isinstance(full, NonTerminating) and full.rule == "T2-row1"
     assert full.witness.iteration == 10001  # closed-form jump to the first x < 0
+    # terminating runs (exit at n = 7) are held to the same budget
+    for program in (
+        diagonal(">", 0, (2, 0), (1, 1), -1, -100),
+        diagonal(">", 0, (1, 3), (2, 0), 50, 1),
+    ):
+        v = decide(program, search_budget=3)
+        assert isinstance(v, Unsupported) and "exceeded" in v.reason
+        assert decide(program) == Terminating(7)
 
 
 def test_linear_up_vs_exponential_up_terminates():

@@ -99,6 +99,18 @@ def test_agreement_notes_unconfirmed_divergence():
     assert check.ok and check.note == "divergence-consistent"
 
 
+def test_agreement_notes_unconfirmed_termination():
+    program = single("<", 0, (1, 1), -50)
+    verdict = decide(program)
+    assert verdict == Terminating(50)
+    check = agreement_check(program, verdict, max_steps=10)
+    assert check.ok and check.note == "unconfirmed termination"
+    assert check.oracle == BoundExhausted(check.oracle.last, 10)
+    # an exit within the budget that the run does not reach is still a disagreement
+    diverging = single("<", 0, (1, -1), -50)
+    assert not agreement_check(diverging, Terminating(5), max_steps=10).ok
+
+
 def test_agreement_requires_decided_verdict(example2):
     with pytest.raises(ValueError):
         agreement_check(example2, Unsupported("nope"))
@@ -113,7 +125,7 @@ def test_multipath_branch_selection():
 def test_step_soundness_against_guard_and_update_primitives():
     import random
 
-    from monoterm import apply_update, eval_guard
+    from monoterm import eval_guard
     from monoterm.gen import random_program
 
     rng = random.Random(8)
@@ -130,12 +142,12 @@ def test_step_soundness_against_guard_and_update_primitives():
                     if eval_guard(shape.branch_cond, env)
                     else shape.else_update
                 )
-                assert stepped == (apply_update(upd, values[0]),)
+                assert stepped == (upd.apply(values[0]),)
             elif hasattr(shape, "lhs_update"):
                 assert stepped == (
-                    apply_update(shape.lhs_update, values[0]),
-                    apply_update(shape.rhs_update, values[1]),
+                    shape.lhs_update.apply(values[0]),
+                    shape.rhs_update.apply(values[1]),
                 )
             else:
-                assert stepped == (apply_update(shape.update, values[0]),)
+                assert stepped == (shape.update.apply(values[0]),)
             values = stepped

@@ -9,7 +9,6 @@ from monoterm import (
     DiagonalGuard,
     RelOp,
     Update,
-    apply_update,
     eval_guard,
 )
 
@@ -31,9 +30,9 @@ def test_eval_guard_unbound_variable():
 
 
 def test_apply_update_examples():
-    assert apply_update(Update(1, 2), 5) == 7
-    assert apply_update(Update(0, 9), -100) == 9
-    assert apply_update(Update(2, 1), 3) == 7
+    assert Update(1, 2).apply(5) == 7
+    assert Update(0, 9).apply(-100) == 9
+    assert Update(2, 1).apply(3) == 7
 
 
 @given(ints, ints, relops)

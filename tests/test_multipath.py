@@ -25,7 +25,7 @@ from monoterm import (
 )
 from monoterm.gen import multipath_for_row
 from monoterm.interpreter import step_values
-from monoterm.multipath import accelerated_walk, fixed_point_search
+from monoterm.multipath import accelerated_walk
 from monoterm.parser import parse
 
 from conftest import NEG_FIXED_POINT, NEG_MOVING, multipath
@@ -79,13 +79,7 @@ def test_formula3_unsatisfied_terminates():
 
 
 def test_nt_formula_row17(example1):
-    satisfied, witness = nt_formula(
-        17,
-        example1.shape,
-        15,
-        classify(example1.shape.then_update, 15),
-        classify(example1.shape.else_update, 15),
-    )
+    satisfied, witness = nt_formula(17, example1.shape, 15)
     assert satisfied
     assert witness.conjuncts == (("x0 >= c", True), ("x0 >= c1", True))
 
@@ -96,7 +90,7 @@ def test_nt_formula_row19():
     cls1 = classify(program.shape.then_update, 3)
     cls2 = classify(program.shape.else_update, 3)
     assert case_row(RelOp.LE, RelOp.GE, cls1.direction, cls2.direction) == 19
-    satisfied, _ = nt_formula(19, program.shape, 3, cls1, cls2)
+    satisfied, _ = nt_formula(19, program.shape, 3)
     assert satisfied
     v = decide(program)
     assert isinstance(v, NonTerminating) and v.rule == "T3-row19"
@@ -227,9 +221,10 @@ def test_fixed_point_search_values_are_oracle_subsequence(example2):
 
 
 def test_fixed_point_search_wrapper_requires_rows_21_24(example2):
-    v = fixed_point_search(example2.shape, 3, 21)
+    v = accelerated_walk(example2.shape, 3, "T3-row21", "alg3")
     assert isinstance(v, NonTerminating)
     assert v.witness.procedure == "alg3"
+    assert decide(example2) == v
 
 
 def test_walk_budget_exhaustion_reports_unsupported(example2):

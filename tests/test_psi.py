@@ -3,8 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import brute_first_falsifier
-from monoterm import AnalysisError, Direction, RelOp, Update, psi_a, psi_iter, psi_prime_a
-from monoterm.psi import Escape, NonEscapingOrbitError, Trapped, escape_region
+from monoterm import AnalysisError, Direction, RelOp, Update, psi_a, psi_prime_a
+from monoterm.psi import Escape, Trapped, escape_region
 
 
 def test_psi_a_examples():
@@ -22,16 +22,15 @@ def test_psi_prime_a_examples():
 
 
 def test_psi_iter_examples():
-    assert psi_iter(1, 5, Update(2, 0), RelOp.LE) == 8
-    assert psi_iter(1, 5, Update(2, 1), RelOp.LT) == 7
-    assert psi_iter(-1, -10, Update(2, 0), RelOp.GE) == -16
+    assert escape_region(1, 5, RelOp.LE, Update(2, 0)).value == 8
+    assert escape_region(1, 5, RelOp.LT, Update(2, 1)).value == 7
+    assert escape_region(-1, -10, RelOp.GE, Update(2, 0)).value == -16
 
 
 def test_psi_iter_rejects_non_escaping_orbit():
-    with pytest.raises(NonEscapingOrbitError):
-        psi_iter(-4, 5, Update(2, 0), RelOp.LE)  # doubling a negative never exceeds 5
-    with pytest.raises(NonEscapingOrbitError):
-        psi_iter(3, 0, Update(2, 0), RelOp.GE)  # doubling a positive never drops below 0
+    # doubling a negative never exceeds 5; doubling a positive never drops below 0
+    assert escape_region(-4, 5, RelOp.LE, Update(2, 0)) == Trapped(Direction.DOWN)
+    assert escape_region(3, 0, RelOp.GE, Update(2, 0)) == Trapped(Direction.UP)
 
 
 def test_psi_preconditions():
