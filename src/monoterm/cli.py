@@ -1,8 +1,9 @@
 """Command-line driver: analyze one loop file, bench a corpus, or generate one.
 
 Exit codes for `analyze`: 0 terminating, 1 non-terminating, 2 unsupported,
-3 input error (also for command-line usage errors).  Decision times cover the decider call only (never parsing
-or the oracle) and are reported in milliseconds with microsecond digits.
+3 input error (command-line usage errors included).  Decision times cover
+the decider call only (never parsing or the oracle) and are reported in
+milliseconds with microsecond digits.
 """
 
 from __future__ import annotations
