@@ -1,4 +1,4 @@
-"""Byte pins for the alternating-branch walk (rows 21-24) and the diagonal decider.
+"""Byte pins for the multipath decider (all 36 rows) and the diagonal decider.
 
 Their verdicts, iteration counts and witnesses are part of the output
 format: any rewrite of either must reproduce them byte for byte.  A
@@ -10,7 +10,7 @@ import json
 import random
 
 from monoterm import ClassKind, decide
-from monoterm.gen import diagonal_for_pair, multipath_for_row, random_diagonal
+from monoterm.gen import diagonal_for_pair, multipath_for_row, random_diagonal, random_multipath
 
 ROWS = (21, 22, 23, 24)
 
@@ -23,6 +23,13 @@ BOUND_2000_SHA256 = "ce2cc3bf38f6f5dd36bb37c2103cfbe516748a7fccdf96fb8ef6dc4afcf
 # witness falls back to the sparse list of branch-switch values.
 SPARSE_CASES = ((6, 22), (94, 21), (163, 23), (275, 22), (276, 23), (369, 21))
 SPARSE_SHA256 = "66e2ad048c3c61b5bb3a4a62e3d58a3b651a568f60fa39842a21105ce9261712"
+
+# Loops for every Table 3 row at bounds 20, 2000 and 10**12, and random
+# multipath loops at bound 2000: every multipath exit, formula rows included.
+ALL_ROW_SEEDS = range(100)
+ALL_ROWS_SHA256 = "b3756267df6a69a924b3b9b9ef71d99fba8fe74d8307f3659e0e385f4e4c42ae"
+RANDOM_MULTIPATH_SEEDS = range(3000)
+RANDOM_MULTIPATH_SHA256 = "b27e68c9a7c5a947134743e875e157574d6f56cbc39f8c722181c38230922557"
 
 # Diagonal loops for every class pair at bounds 30 and 2000, and random
 # diagonal loops at bound 10**6: every diagonal rule, T2 rows 1-8 included.
@@ -53,6 +60,21 @@ def test_sparse_cycle_witnesses_are_pinned():
     verdicts = _decide([(seed, row, 10**6) for seed, row in SPARSE_CASES])
     assert all(verdict.witness.sparse for verdict in verdicts)
     assert _digest(verdicts) == SPARSE_SHA256
+
+
+def test_all_rows_multipath_output_is_pinned():
+    verdicts = _decide(
+        [(seed, row, bound) for bound in (20, 2000, 10**12) for row in range(1, 37)
+         for seed in ALL_ROW_SEEDS]
+    )
+    assert _digest(verdicts) == ALL_ROWS_SHA256
+
+
+def test_random_multipath_output_is_pinned():
+    verdicts = [
+        decide(random_multipath(random.Random(seed), 2000)) for seed in RANDOM_MULTIPATH_SEEDS
+    ]
+    assert _digest(verdicts) == RANDOM_MULTIPATH_SHA256
 
 
 def test_diagonal_class_pair_output_is_pinned():
