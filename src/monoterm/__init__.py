@@ -40,7 +40,6 @@ from .model import (
     Unsupported,
     Update,
     Verdict,
-    eval_guard,
 )
 from .multipath import (
     CaseKey,
@@ -76,7 +75,6 @@ __all__ = [
     "normalize_direction",
     "psi_a",
     "psi_prime_a",
-    "eval_guard",
     "LoopProgram",
     "SinglePathLoop",
     "DiagonalLoop",

@@ -10,6 +10,7 @@ from .model import (
     MultiPathLoop,
     NonMonotoneUpdateError,
     SinglePathLoop,
+    Terminating,
     Unsupported,
     Verdict,
 )
@@ -24,6 +25,8 @@ def decide(program: LoopProgram, search_budget: int = SEARCH_BUDGET) -> Verdict:
     try:
         if isinstance(shape, SinglePathLoop):
             x0 = init[shape.guard.var]
+            if not shape.guard.op.holds(x0, shape.guard.bound):
+                return Terminating(0)
             cls = classify(shape.update, x0)
             return decide_single(shape.guard, cls, x0)
         if isinstance(shape, DiagonalLoop):

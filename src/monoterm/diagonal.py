@@ -106,9 +106,11 @@ def normalize_direction(loop: DiagonalLoop) -> DiagonalLoop:
 def decide_diagonal_program(
     loop: DiagonalLoop, init: Env, search_budget: int = SEARCH_BUDGET
 ) -> Verdict:
-    """Normalize, classify both updates, and decide."""
+    """Normalize, test the guard at iteration 0, classify both updates, and decide."""
     norm = normalize_direction(loop)
     x0, y0 = init[norm.guard.lhs], init[norm.guard.rhs]
+    if not norm.guard.op.holds(x0 - y0, norm.guard.bound):
+        return Terminating(0)
     cls_x = classify(norm.lhs_update, x0)
     cls_y = classify(norm.rhs_update, y0)
     verdict = _decide(norm, cls_x, cls_y, x0, y0, search_budget)
@@ -125,8 +127,6 @@ def _decide(
 ) -> Verdict:
     """Decide a normalized diagonal loop (guard op in {>, >=})."""
     op, c = norm.guard.op, norm.guard.bound
-    if not op.holds(x0 - y0, c):
-        return Terminating(0)
     dir_x, dir_y = cls_x.direction, cls_y.direction
     if Direction.FLAT in (dir_x, dir_y):
         return _decide_with_pinned(norm, cls_x, cls_y, x0, y0)

@@ -90,21 +90,7 @@ class DiagonalGuard:
         return f"{self.lhs} - {self.rhs} {self.op.value} {self.bound}"
 
 
-GuardAtom = Union[DiagonalFreeGuard, DiagonalGuard]
-
 Env = dict[str, int]
-
-
-def eval_guard(atom: GuardAtom, env: Env) -> bool:
-    """Evaluate a guard atom under exact integer arithmetic."""
-    if isinstance(atom, DiagonalFreeGuard):
-        if atom.var not in env:
-            raise UnboundVariableError(atom.var)
-        return atom.op.holds(env[atom.var], atom.bound)
-    for v in (atom.lhs, atom.rhs):
-        if v not in env:
-            raise UnboundVariableError(v)
-    return atom.op.holds(env[atom.lhs] - env[atom.rhs], atom.bound)
 
 
 @dataclass(frozen=True)

@@ -2,22 +2,23 @@
 
     while (x op c) { if (x op' c1) { x := f1(x); } else { x := f2(x); } }
 
-Dispatch is a 36-way case split on the bound direction of the guard,
-the bound direction of the branch condition, and the direction class of
-each branch update (up, down, or constant).  Most cases decide by a
-closed non-termination formula; the genuinely interleaving cases walk
-the trajectory from branch switch to branch switch, jumping over each
-monotone run with a first-falsifier computation and detecting repeated
-switch values.
+One engine decides every loop that enters its body: an accelerated walk
+from branch switch to branch switch that jumps over each monotone run
+with a first-falsifier computation and detects repeated switch values.
+It evaluates branch directions at every value it actually visits.
 
-The closed formulas assume a branch behaves the same wherever it fires.
-That holds for arithmetic updates, but a geometric/affine branch
-re-entered at the constant branch's value b may move the other way than
-it does at x0 (x := 2*x increases positive values and decreases
-negative ones).  Such instances, and branches that are only
-orbit-constant (x := x, or a fixed point of x := u*x + v) rather than a
-direct assignment, are routed to the walk, which evaluates directions
-at every value it actually visits.
+A 36-way case split on the bound direction of the guard, the bound
+direction of the branch condition, and the direction class of each
+branch update at x0 (up, down, or constant) names the rule and explains
+a non-terminating walk.  Rows 29-36 report the branches' shared
+direction; rows with a closed non-termination formula report its
+conjuncts, and the formula must hold.  The formulas assume a branch
+behaves the same wherever it fires.  That fails for a geometric/affine
+branch re-entered at the constant branch's value b that moves the other
+way than at x0 (x := 2*x increases positive values and decreases
+negative ones), and for a branch that is only orbit-constant (x := x,
+or a fixed point of x := u*x + v) rather than a direct assignment.  Such
+instances, and the alternating rows 21-24, keep the walk's own witness.
 
 The walk first turns the guard and the branch condition into inclusive
 integer limits and each branch into a (coeff, offset, side, limit) tuple,
@@ -117,45 +118,46 @@ def case_row(phi_op: RelOp, cond_op: RelOp, dir1: Direction, dir2: Direction) ->
 
 # --- Non-termination formulas -----------------------------------------------
 #
-# Conjunct tokens, evaluated left to right with short-circuiting so that
-# every first-falsifier probe psi(d) runs only after d's membership in the
-# monotone branch's region has been established.
+# Conjunct tokens subject~relation (relation phi, B or !B), evaluated left
+# to right with short-circuiting so that every first-falsifier probe
+# psi(d) runs only after d's membership in the monotone branch's region
+# has been established.
 
 _ROW_FORMULAS: dict[int, tuple[tuple[str, ...], ...]] = {
     1: (("x0~phi", "b~phi"),),
-    5: (("x0~phi", "x0!~B", "b~phi", "b~!B"),),
+    5: (("x0~phi", "x0~!B", "b~phi", "b~!B"),),
     7: (("x0~phi", "x0~B", "b~phi", "b~B"),),
-    9: (("x0~phi", "x0!~B"), ("x0~phi", "x0~B", "b~phi")),
-    11: (("x0~phi", "x0~B"), ("x0~phi", "x0!~B", "b~phi")),
+    9: (("x0~phi", "x0~!B"), ("x0~phi", "x0~B", "b~phi")),
+    11: (("x0~phi", "x0~B"), ("x0~phi", "x0~!B", "b~phi")),
     13: (
-        ("x0~phi", "x0!~B", "b~phi", "b~!B"),
+        ("x0~phi", "x0~!B", "b~phi", "b~!B"),
         ("x0~phi", "x0~B", "psi(x0)~phi", "b~phi", "b~!B"),
         ("x0~phi", "x0~B", "psi(x0)~phi", "b~phi", "b~B", "psi(b)~phi"),
-        ("x0~phi", "x0!~B", "b~phi", "b~B", "psi(b)~phi"),
+        ("x0~phi", "x0~!B", "b~phi", "b~B", "psi(b)~phi"),
     ),
     14: (
         ("x0~phi", "x0~B", "b~phi", "b~B"),
-        ("x0~phi", "x0!~B", "psi(x0)~phi", "b~phi", "b~B"),
-        ("x0~phi", "x0!~B", "psi(x0)~phi", "b~phi", "b~!B", "psi(b)~phi"),
+        ("x0~phi", "x0~!B", "psi(x0)~phi", "b~phi", "b~B"),
+        ("x0~phi", "x0~!B", "psi(x0)~phi", "b~phi", "b~!B", "psi(b)~phi"),
         ("x0~phi", "x0~B", "b~phi", "b~!B", "psi(b)~phi"),
     ),
     15: (
-        ("x0~phi", "x0!~B", "b~phi", "b~!B"),
+        ("x0~phi", "x0~!B", "b~phi", "b~!B"),
         ("x0~phi", "x0~B", "psi(x0)~phi", "b~phi", "b~!B"),
         ("x0~phi", "x0~B", "psi(x0)~phi", "b~phi", "b~B", "psi(b)~phi"),
-        ("x0~phi", "x0!~B", "b~phi", "b~B", "psi(b)~phi"),
+        ("x0~phi", "x0~!B", "b~phi", "b~B", "psi(b)~phi"),
     ),
     16: (
         ("x0~phi", "x0~B", "b~phi", "b~B"),
-        ("x0~phi", "x0!~B", "psi(x0)~phi", "b~phi", "b~B"),
-        ("x0~phi", "x0!~B", "psi(x0)~phi", "b~phi", "b~!B", "psi(b)~phi"),
+        ("x0~phi", "x0~!B", "psi(x0)~phi", "b~phi", "b~B"),
+        ("x0~phi", "x0~!B", "psi(x0)~phi", "b~phi", "b~!B", "psi(b)~phi"),
         ("x0~phi", "x0~B", "b~phi", "b~!B", "psi(b)~phi"),
     ),
     17: (("x0~phi", "x0~B"),),
-    19: (("x0~phi", "x0!~B"),),
+    19: (("x0~phi", "x0~!B"),),
     25: (
         ("x0~phi", "x0~B", "b1~phi", "b1~B"),
-        ("x0~phi", "x0!~B", "b2~phi", "b2~!B"),
+        ("x0~phi", "x0~!B", "b2~phi", "b2~!B"),
         ("x0~phi", "b1~phi", "b2~phi"),
     ),
 }
@@ -168,9 +170,6 @@ for _src, _dsts in ((1, (2, 3, 4)), (5, (6,)), (7, (8,)), (9, (10,)), (11, (12,)
 
 class _FormulaContext:
     def __init__(self, loop: MultiPathLoop, x0: int, row: int):
-        self.loop = loop
-        self.x0 = x0
-        self.row = row
         self.phi = loop.guard
         self.cond = loop.branch_cond
         self.bindings: dict[str, int] = {"x0": x0, "c": self.phi.bound, "c1": self.cond.bound}
@@ -189,46 +188,22 @@ class _FormulaContext:
             if self.const_upd.coeff != 0:
                 raise AnalysisError("this row's formula needs a direct constant assignment")
             self.bindings["b"] = self.const_upd.offset
-        self._psi_cache: dict[int, int] = {}
-
-    def psi(self, d: int) -> int:
-        if d not in self._psi_cache:
-            escape = escape_region(d, self.cond.bound, self.mono_region_op, self.mono_upd)
-            assert isinstance(escape, Escape), "formula rows require an escaping branch"
-            self._psi_cache[d] = escape.value
-        return self._psi_cache[d]
 
     def eval_token(self, token: str) -> tuple[str, bool]:
-        phi, cond, b = self.phi, self.cond, self.bindings
-        psi_label = "psi" if self.mono_region_op.bounded_above else "psi'"
-        if token == "x0~phi":
-            return f"x0 {phi.op.value} c", phi.op.holds(self.x0, phi.bound)
-        if token == "x0~B":
-            return f"x0 {cond.op.value} c1", cond.op.holds(self.x0, cond.bound)
-        if token == "x0!~B":
-            return f"x0 {cond.op.negated().value} c1", not cond.op.holds(self.x0, cond.bound)
-        if token == "b~phi":
-            return f"b {phi.op.value} c", phi.op.holds(b["b"], phi.bound)
-        if token == "b~B":
-            return f"b {cond.op.value} c1", cond.op.holds(b["b"], cond.bound)
-        if token == "b~!B":
-            return f"b {cond.op.negated().value} c1", not cond.op.holds(b["b"], cond.bound)
-        if token == "psi(x0)~phi":
-            value = self.psi(self.x0)
-            b[f"{psi_label}(x0)"] = value
-            return f"{psi_label}(x0) {phi.op.value} c", phi.op.holds(value, phi.bound)
-        if token == "psi(b)~phi":
-            value = self.psi(b["b"])
-            b[f"{psi_label}(b)"] = value
-            return f"{psi_label}(b) {phi.op.value} c", phi.op.holds(value, phi.bound)
-        if token in ("b1~phi", "b2~phi"):
-            name = token[:2]
-            return f"{name} {phi.op.value} c", phi.op.holds(b[name], phi.bound)
-        if token == "b1~B":
-            return f"b1 {cond.op.value} c1", cond.op.holds(b["b1"], cond.bound)
-        if token == "b2~!B":
-            return f"b2 {cond.op.negated().value} c1", not cond.op.holds(b["b2"], cond.bound)
-        raise ValueError(f"unknown conjunct token {token!r}")
+        """Evaluate ``subject~relation``: the subject is a binding or psi(binding),
+        the relation is phi, B or !B; a psi value is recorded as a binding."""
+        subject, relation = token.split("~")
+        atom, bound_name = (self.phi, "c") if relation == "phi" else (self.cond, "c1")
+        op = atom.op.negated() if relation == "!B" else atom.op
+        if subject.startswith("psi("):
+            arg = subject[4:-1]
+            subject = ("psi(" if self.mono_region_op.bounded_above else "psi'(") + arg + ")"
+            if subject not in self.bindings:
+                d = self.bindings[arg]
+                escape = escape_region(d, self.cond.bound, self.mono_region_op, self.mono_upd)
+                assert isinstance(escape, Escape), "formula rows require an escaping branch"
+                self.bindings[subject] = escape.value
+        return f"{subject} {op.value} {bound_name}", op.holds(self.bindings[subject], atom.bound)
 
 
 def nt_formula(row: int, loop: MultiPathLoop, x0: int) -> tuple[bool, FormulaWitness]:
@@ -406,7 +381,8 @@ def _needs_walk(row: int, loop: MultiPathLoop, cls1: MonotoneClass, cls2: Monoto
 def decide_multipath(
     loop: MultiPathLoop, init: Env, walk_budget: int = WALK_BUDGET
 ) -> Verdict:
-    """Classify both branches at x0 and dispatch on the 36-row case table."""
+    """Classify both branches at x0, walk the trajectory, and explain a
+    non-terminating walk by the row's closed formula where it applies."""
     x0 = init[loop.guard.var]
     phi = loop.guard
     if not phi.op.holds(x0, phi.bound):
@@ -415,57 +391,30 @@ def decide_multipath(
     cls2 = classify(loop.else_update, x0)
     row = case_row(phi.op, loop.branch_cond.op, cls1.direction, cls2.direction)
     rule = f"T3-row{row}"
+    # fixed-point search: Algorithm 3 for rows 21-22, Algorithm 4 for rows 23-24
+    procedure = "alg3" if 21 <= row <= 22 else "alg4" if 23 <= row <= 24 else None
+    verdict = accelerated_walk(loop, x0, rule, procedure, walk_budget)
+    # rows 21-24 have no closed formula: every verdict there is the walk's own
+    if 21 <= row <= 24 or not isinstance(verdict, NonTerminating):
+        return verdict
     if row >= 29:
         # both branches move the same way; the branch condition is irrelevant
         direction = cls1.direction
-        guard_safe = (phi.op.bounded_below and direction is Direction.UP) or (
+        assert (phi.op.bounded_below and direction is Direction.UP) or (
             phi.op.bounded_above and direction is Direction.DOWN
-        )
-        if guard_safe:
-            return NonTerminating(
-                rule,
-                FormulaWitness(
-                    conjuncts=(
-                        (f"x0 {phi.op.value} c", True),
-                        (f"both branches move {direction.value}, preserving the guard", True),
-                    ),
-                    bindings=(("x0", x0), ("c", phi.bound)),
+        ), f"walk diverges on row {row} against the guard"
+        return NonTerminating(
+            rule,
+            FormulaWitness(
+                conjuncts=(
+                    (f"x0 {phi.op.value} c", True),
+                    (f"both branches move {direction.value}, preserving the guard", True),
                 ),
-            )
-        verdict = accelerated_walk(loop, x0, rule, None, walk_budget)
-        assert not isinstance(verdict, NonTerminating)
-        return verdict
-    if 21 <= row <= 24:
-        # fixed-point search: Algorithm 3 for rows 21-22, Algorithm 4 for rows 23-24
-        return accelerated_walk(loop, x0, rule, "alg3" if row in (21, 22) else "alg4", walk_budget)
-    if 17 <= row <= 20:
-        satisfied, witness = nt_formula(row, loop, x0)
-        if satisfied:
-            return NonTerminating(rule, witness)
-        in_then = loop.branch_cond.op.holds(x0, loop.branch_cond.bound)
-        active = loop.then_update if in_then else loop.else_update
-        escape = escape_region(x0, phi.bound, phi.op, active)
-        assert isinstance(escape, Escape)
-        return Terminating(escape.steps)
+                bindings=(("x0", x0), ("c", phi.bound)),
+            ),
+        )
     if _needs_walk(row, loop, cls1, cls2):
-        return accelerated_walk(loop, x0, rule, None, walk_budget)
+        return verdict
     satisfied, witness = nt_formula(row, loop, x0)
-    if satisfied:
-        return NonTerminating(rule, witness)
-    if 25 <= row <= 28:
-        return Terminating(_pinned_pair_exit(loop, x0))
-    verdict = accelerated_walk(loop, x0, rule, None, walk_budget)
-    assert not isinstance(verdict, NonTerminating), f"formula and walk disagree on row {row}"
-    return verdict
-
-
-def _pinned_pair_exit(loop: MultiPathLoop, x0: int) -> int:
-    """Exit step when both branches are direct assignments (at most 2 moves)."""
-    cond, phi = loop.branch_cond, loop.guard
-    x = x0
-    for n in range(1, 4):
-        upd = loop.then_update if cond.op.holds(x, cond.bound) else loop.else_update
-        x = upd.apply(x)
-        if not phi.op.holds(x, phi.bound):
-            return n
-    raise AssertionError("constant-pair loop declared terminating but runs on")
+    assert satisfied, f"formula and walk disagree on row {row}"
+    return NonTerminating(rule, witness)

@@ -28,6 +28,14 @@ NEG_MOVING = (
 )
 
 
+# Loops whose guard fails at x0 before a moving negative coefficient is
+# ever applied: they run zero iterations.
+NEG_SINGLE_GUARD_FALSE = "init x = 5; while (x > 7) { x := -2 * x; }"
+NEG_DIAGONAL_GUARD_FALSE = (
+    "init x = 5; init y = 10; while (x - y > 0) { x := -2 * x; y := y + 1; }"
+)
+
+
 def single(op: str, c: int, upd: tuple[int, int], x0: int) -> LoopProgram:
     shape = SinglePathLoop(DiagonalFreeGuard("x", OPS[op], c), Update(*upd))
     return LoopProgram(shape, {"x": x0})

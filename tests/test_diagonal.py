@@ -18,8 +18,9 @@ from monoterm import (
 from monoterm.classifier import class_update
 from monoterm.gen import diagonal_for_pair
 from monoterm.model import ClassKind, DiagonalFreeGuard
+from monoterm.parser import parse
 
-from conftest import diagonal
+from conftest import NEG_DIAGONAL_GUARD_FALSE, diagonal
 
 
 def test_normalize_mirrors_above_bounds():
@@ -129,6 +130,13 @@ def test_search_stopping_condition_dip_counterexample_terminates():
 def test_zero_iteration_exit():
     program = diagonal(">", 0, (2, 0), (1, 3), 1, 5)
     assert decide(program) == Terminating(0)
+
+
+def test_guard_false_before_negative_coefficient_is_classified():
+    program = parse(NEG_DIAGONAL_GUARD_FALSE)
+    v = decide(program)
+    assert v == Terminating(0)
+    assert agreement_check(program, v, 10).ok
 
 
 def test_search_budget_exhaustion_reports_unsupported():

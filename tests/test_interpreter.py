@@ -125,7 +125,6 @@ def test_multipath_branch_selection():
 def test_step_soundness_against_guard_and_update_primitives():
     import random
 
-    from monoterm import eval_guard
     from monoterm.gen import random_program
 
     rng = random.Random(8)
@@ -136,10 +135,10 @@ def test_step_soundness_against_guard_and_update_primitives():
         for _ in range(5):
             stepped = step_values(program, values)
             if hasattr(shape, "branch_cond"):
-                env = {"x": values[0]}
+                cond = shape.branch_cond
                 upd = (
                     shape.then_update
-                    if eval_guard(shape.branch_cond, env)
+                    if cond.op.holds(values[0], cond.bound)
                     else shape.else_update
                 )
                 assert stepped == (upd.apply(values[0]),)

@@ -1,32 +1,15 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-import pytest
-
 from monoterm import (
-    AnalysisError,
     DiagonalFreeGuard,
     DiagonalGuard,
     RelOp,
     Update,
-    eval_guard,
 )
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
 relops = st.sampled_from(list(RelOp))
-
-
-def test_eval_guard_examples():
-    assert eval_guard(DiagonalFreeGuard("x", RelOp.GE, 5), {"x": 15}) is True
-    assert eval_guard(DiagonalGuard("x", "y", RelOp.GT, 0), {"x": 3, "y": 3}) is False
-    assert eval_guard(DiagonalFreeGuard("x", RelOp.LE, 10), {"x": 3}) is True
-
-
-def test_eval_guard_unbound_variable():
-    with pytest.raises(AnalysisError):
-        eval_guard(DiagonalFreeGuard("x", RelOp.LT, 0), {})
-    with pytest.raises(AnalysisError):
-        eval_guard(DiagonalGuard("x", "y", RelOp.LT, 0), {"x": 1})
 
 
 def test_apply_update_examples():
@@ -38,15 +21,17 @@ def test_apply_update_examples():
 @given(ints, ints, relops)
 def test_guard_negation_is_complement(value, bound, op):
     atom = DiagonalFreeGuard("x", op, bound)
-    env = {"x": value}
-    assert eval_guard(atom, env) != eval_guard(atom.negated(), env)
+    negated = atom.negated()
+    assert (negated.var, negated.bound) == ("x", bound)
+    assert atom.op.holds(value, bound) != negated.op.holds(value, bound)
 
 
 @given(ints, ints, ints, relops)
 def test_diagonal_negation_is_complement(x, y, bound, op):
     atom = DiagonalGuard("x", "y", op, bound)
-    env = {"x": x, "y": y}
-    assert eval_guard(atom, env) != eval_guard(atom.negated(), env)
+    negated = atom.negated()
+    assert (negated.lhs, negated.rhs, negated.bound) == ("x", "y", bound)
+    assert atom.op.holds(x - y, bound) != negated.op.holds(x - y, bound)
 
 
 @given(ints, ints, relops)

@@ -231,6 +231,12 @@ def test_walk_budget_exhaustion_reports_unsupported(example2):
     v = decide(example2, search_budget=2)  # the cycle needs four jumps
     assert isinstance(v, Unsupported)
     assert "exceeded" in v.reason
+    # formula rows are walked too: the row-1 cycle 11 -> 5 -> 11 needs three jumps
+    program = multipath(">=", 0, "<=", 10, (1, 1), (0, 5), 3)
+    v = decide(program, search_budget=1)
+    assert isinstance(v, Unsupported) and "exceeded" in v.reason
+    full = decide(program)
+    assert full.rule == "T3-row1" and isinstance(full.witness, FormulaWitness)
 
 
 def test_all_rows_oracle_agreement_sample():

@@ -14,8 +14,9 @@ from monoterm import (
     decide_single,
 )
 from monoterm.model import NonMonotoneUpdateError
+from monoterm.parser import parse
 
-from conftest import single
+from conftest import NEG_SINGLE_GUARD_FALSE, single
 
 
 def _decide(op, c, upd, x0):
@@ -36,6 +37,13 @@ def test_lemma1_nonterminating_up_against_lower_bound():
 
 def test_guard_false_initially():
     assert _decide(RelOp.GT, 0, (1, 1), 0) == Terminating(0)
+
+
+def test_guard_false_before_negative_coefficient_is_classified():
+    program = parse(NEG_SINGLE_GUARD_FALSE)
+    v = decide(program)
+    assert v == Terminating(0)
+    assert agreement_check(program, v, 10).ok
 
 
 def test_constant_pinned_inside_guard_never_exits():
