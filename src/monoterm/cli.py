@@ -1,9 +1,12 @@
 """Command-line driver: analyze one loop file, bench a corpus, or generate one.
 
 Exit codes for `analyze`: 0 terminating, 1 non-terminating, 2 unsupported,
-3 input error (command-line usage errors included).  Decision times cover
-the decider call only (never parsing or the oracle) and are reported in
-milliseconds with microsecond digits.
+3 input error (command-line usage errors included), 4 internal error (an
+exception from the analysis itself, printed as one `error: internal:` line).
+`bench` lists unreadable or unparseable files and goes on; it exits 3 on a
+command-line input error, 4 if any file hit an internal error, else 0.
+Decision times cover the decider call only (never parsing or the oracle)
+and are reported in milliseconds with microsecond digits.
 """
 
 from __future__ import annotations
@@ -48,6 +51,45 @@ def _max_steps(flag: str | None) -> int:
     if value < 1:
         raise ValueError(f"{source} must be at least 1, got {value}")
     return value
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_indent2(value, pad: str = "\n") -> str:
+    """`json.dumps(value, indent=2)`, byte for byte, for values with str keys.
+
+    `json` runs its C encoder only when `indent` is None; this keeps the
+    indented layout while strings and lists of plain ints are joined in C.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = (_encode_str(k) + ": " + _json_indent2(v, inner) for k, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        if all(type(v) is int for v in value):
+            items = map(int.__repr__, value)
+        else:
+            items = (_json_indent2(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return json.dumps(value)
+
+
+def _internal_error(err: Exception) -> str:
+    return f"internal: {type(err).__name__}: {err}"
 
 
 def _oracle_json(agreement: Agreement) -> dict:
@@ -115,8 +157,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except (ParseError, OSError) as err:
         print(f"error: {path}: {err}", file=sys.stderr)
         return 3
+    except Exception as err:  # a fault in the analysis, not a verdict
+        print(f"error: {_internal_error(err)}", file=sys.stderr)
+        return 4
     if args.format == "json":
-        print(json.dumps(record, indent=2))
+        print(_json_indent2(record))
     else:
         _print_text(record)
     return _exit_code(record["verdict"])
@@ -141,15 +186,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
     files = sorted(directory.glob("*.loop"))
     records: list[dict] = []
     errors: list[tuple[Path, str]] = []
+    internal = False
     for path in files:
         try:
             records.append(_analyze_one(path, args.max_steps, args.oracle_check))
         except (ParseError, OSError) as err:
             errors.append((path, str(err)))
+        except Exception as err:  # a fault in the analysis: report it and go on
+            errors.append((path, _internal_error(err)))
+            internal = True
+    exit_code = 4 if internal else 0
     if args.format == "json":
         errors_json = [{"file": str(path), "error": message} for path, message in errors]
-        print(json.dumps(records + errors_json, indent=2))
-        return 0
+        print(_json_indent2(records + errors_json))
+        return exit_code
     name_width = max([len(p.name) for p in files], default=4)
     header = f"{'file':<{name_width}}  {'verdict':<3}  {'rule':<14}  {'ms':>10}"
     if args.oracle_check:
@@ -176,7 +226,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         f"T={counts['T']} NT={counts['NT']} TO={counts['TO']} M={counts['M']} | "
         f"decision time {total_ms:.3f} ms"
     )
-    return 0
+    return exit_code
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

@@ -15,6 +15,7 @@ from typing import Union
 from .model import (
     DiagonalLoop,
     LoopProgram,
+    RelOp,
     SinglePathLoop,
     Terminating,
     Unsupported,
@@ -64,11 +65,17 @@ def step_values(p: LoopProgram, values: tuple[int, ...]) -> tuple[int, ...]:
     return (upd.apply(x),)
 
 
-def _guard_metric(p: LoopProgram, values: tuple[int, ...]) -> int:
-    """The quantity the guard compares against its bound (value or gap)."""
-    if isinstance(p.shape, DiagonalLoop):
-        return values[0] - values[1]
-    return values[0]
+def _at_least(op: RelOp, bound: int, sign: int) -> tuple[int, bool]:
+    """(cut, above) such that `op.holds(sign * v, bound)` iff `(v >= cut) == above`."""
+    if sign < 0:
+        op, bound = op.mirrored(), -bound
+    if op is RelOp.GE:
+        return bound, True
+    if op is RelOp.GT:
+        return bound + 1, True
+    if op is RelOp.LE:
+        return bound + 1, False
+    return bound, False
 
 
 def run(
@@ -79,39 +86,89 @@ def run(
     """Execute up to max_steps loop iterations.
 
     With divergence_window set, the run also stops once the guard metric
-    has moved in the guard-preserving direction (non-strictly) for that
-    many consecutive steps; the result is then flagged monotone_escape.
-    This keeps exponential orbits from exploding while still confirming
-    that the loop is running away from its exit condition.
+    (the value, or the gap x - y of a diagonal loop) has moved in the
+    guard-preserving direction (non-strictly) for that many consecutive
+    steps; the result is then flagged monotone_escape.  This keeps
+    exponential orbits from exploding while still confirming that the
+    loop is running away from its exit condition.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    guard_op, bound = p.shape.guard.op, p.shape.guard.bound
+    s = p.shape
+    # Every value is simulated multiplied by `sign`, chosen so that the guard
+    # reads `metric >= low`; x := a*x + b then becomes x := a*x + sign*b.
+    sign = 1 if s.guard.op.bounded_below else -1
+    low, _ = _at_least(s.guard.op, s.guard.bound, sign)
+    # past max_steps, so a run without a window never reaches it
+    window = max_steps + 1 if divergence_window is None else divergence_window
     env = p.initial_env()
-    values = tuple(env[v] for v in p.variables())
-    seen: dict[tuple[int, ...], int] = {}
-    steps = 0
-    safe_run = 0
-    metric = _guard_metric(p, values)
+    if isinstance(s, DiagonalLoop):
+        return _run_pair(
+            sign * env[s.guard.lhs], sign * env[s.guard.rhs], sign, low,
+            (s.lhs_update.coeff, sign * s.lhs_update.offset),
+            (s.rhs_update.coeff, sign * s.rhs_update.offset),
+            max_steps, window,
+        )
+    if isinstance(s, SinglePathLoop):
+        cut, upper, lower = low, s.update, s.update
+    else:
+        cut, above = _at_least(s.branch_cond.op, s.branch_cond.bound, sign)
+        upper, lower = s.then_update, s.else_update
+        if not above:
+            upper, lower = lower, upper
+    return _run_one(
+        sign * env[s.guard.var], sign, low, cut,
+        (upper.coeff, sign * upper.offset), (lower.coeff, sign * lower.offset),
+        max_steps, window,
+    )
+
+
+def _run_one(x, sign, low, cut, upper, lower, max_steps, window) -> OracleResult:
+    """run() for one variable x (times sign): `upper` applies where x >= cut."""
+    a1, b1 = upper
+    a2, b2 = lower
+    seen: dict[int, int] = {}
+    steps = safe_run = 0
     while True:
-        if not guard_op.holds(metric, bound):
+        if x < low:
             return TerminatedIn(steps)
-        if values in seen:
-            return CycleDetected(TraceState(values, seen[values]), steps - seen[values])
-        seen[values] = steps
+        first = seen.setdefault(x, steps)
+        if first != steps:
+            return CycleDetected(TraceState((sign * x,), first), steps - first)
         if steps >= max_steps:
-            return BoundExhausted(TraceState(values, steps), steps)
-        nxt = step_values(p, values)
-        new_metric = _guard_metric(p, nxt)
-        if guard_op.bounded_below:
-            safe = new_metric >= metric
-        else:
-            safe = new_metric <= metric
-        safe_run = safe_run + 1 if safe else 0
-        values, metric = nxt, new_metric
+            return BoundExhausted(TraceState((sign * x,), steps), steps)
+        nxt = a1 * x + b1 if x >= cut else a2 * x + b2
+        safe_run = safe_run + 1 if nxt >= x else 0
+        x = nxt
         steps += 1
-        if divergence_window is not None and safe_run >= divergence_window:
-            return BoundExhausted(TraceState(values, steps), steps, monotone_escape=True)
+        if safe_run >= window:
+            return BoundExhausted(TraceState((sign * x,), steps), steps, monotone_escape=True)
+
+
+def _run_pair(x, y, sign, low, lhs, rhs, max_steps, window) -> OracleResult:
+    """run() for a diagonal loop on (x, y) (times sign), with the gap x - y as metric."""
+    a1, b1 = lhs
+    a2, b2 = rhs
+    seen: dict[tuple[int, int], int] = {}
+    steps = safe_run = 0
+    gap = x - y
+    while True:
+        if gap < low:
+            return TerminatedIn(steps)
+        first = seen.setdefault((x, y), steps)
+        if first != steps:
+            return CycleDetected(TraceState((sign * x, sign * y), first), steps - first)
+        if steps >= max_steps:
+            return BoundExhausted(TraceState((sign * x, sign * y), steps), steps)
+        x, y = a1 * x + b1, a2 * y + b2
+        new_gap = x - y
+        safe_run = safe_run + 1 if new_gap >= gap else 0
+        gap = new_gap
+        steps += 1
+        if safe_run >= window:
+            return BoundExhausted(
+                TraceState((sign * x, sign * y), steps), steps, monotone_escape=True
+            )
 
 
 @dataclass(frozen=True)

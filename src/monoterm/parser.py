@@ -23,8 +23,8 @@ never a silent reinterpretation.
 
 from __future__ import annotations
 
+import re
 import sys
-from dataclasses import dataclass
 
 from .model import (
     DiagonalFreeGuard,
@@ -62,111 +62,100 @@ class MissingInitError(ParseError):
 
 
 _KEYWORDS = {"init", "while", "if", "else"}
-_PUNCT = ("<=", ">=", ":=", "<", ">", "=", ";", "(", ")", "{", "}", "+", "-", "*")
+# One alternative per token class, tried in order at each position.  `int`
+# is decimal digits only, so a word never starts with one; a word that starts
+# with another numeric character ('²', '½') is rejected in _tokenize.
+# Whitespace is ' ', tab and CR only: any other character, '\v' included,
+# falls through to `bad`.
+_TOKEN_RE = re.compile(
+    r"(?P<space>[ \t\r]+)|(?P<newline>\n)|(?P<comment>#[^\n]*)|(?P<int>\d+)|(?P<word>\w+)"
+    r"|(?P<punct><=|>=|:=|[<>=;(){}+*-])|(?P<bad>.)"
+)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'ident', 'int', 'eof', or the punctuation/keyword itself
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, col) per token, ending in an 'eof' token; kind is
+    'ident', 'int', 'eof', or the punctuation/keyword itself."""
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    line, line_start = 1, 0  # line_start: offset of the current line's first character
+    end_col = None  # eof column when the text ends in a comment: the '#'
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
+            line_start = m.end()
+            end_col = None
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = word if word in _KEYWORDS else "ident"
-            tokens.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(_Token(p, p, line, col))
-                col += len(p)
-                i += len(p)
-                break
+        col = m.start() - line_start + 1
+        if kind == "punct":
+            word = m.group()
+            tokens.append((word, word, line, col))
+        elif kind == "word":
+            word = m.group()
+            first = word[0]
+            if not (first.isalpha() or first == "_"):
+                raise LoopSyntaxError(line, col, "a token", repr(first))
+            tokens.append((word if word in _KEYWORDS else "ident", word, line, col))
+        elif kind == "int":
+            tokens.append(("int", m.group(), line, col))
+        elif kind == "comment":
+            end_col = col
         else:
-            raise LoopSyntaxError(line, col, "a token", repr(c))
-    tokens.append(_Token("eof", "", line, col))
+            raise LoopSyntaxError(line, col, "a token", repr(m.group()))
+    if end_col is None:
+        end_col = len(text) - line_start + 1
+    tokens.append(("eof", "", line, end_col))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple[str, str, int, int]]):
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> tuple[str, str, int, int]:
+        return self.tokens[self.pos]
 
-    def take(self, kind: str, expected: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            what = expected or f"'{kind}'"
-            found = tok.text if tok.text else "end of input"
-            raise LoopSyntaxError(tok.line, tok.col, what, f"'{found}'" if tok.text else found)
+    def take(self, kind: str, expected: str | None = None) -> str:
+        """The text of the next token, which must be of this kind."""
+        tok_kind, text, line, col = self.tokens[self.pos]
+        if tok_kind != kind:
+            found = f"'{text}'" if text else "end of input"
+            raise LoopSyntaxError(line, col, expected or f"'{kind}'", found)
         self.pos += 1
-        return tok
+        return text
 
     def accept(self, kind: str) -> bool:
-        if self.peek().kind == kind:
+        if self.tokens[self.pos][0] == kind:
             self.pos += 1
             return True
         return False
 
     def integer(self) -> int:
         negative = self.accept("-")
-        tok = self.take("int", "an integer")
+        _, _, line, col = self.peek()
+        text = self.take("int", "an integer")
         try:
-            value = int(tok.text)
+            value = int(text)
         except ValueError:  # over the interpreter's int-conversion digit limit
             expected = f"an integer of at most {sys.get_int_max_str_digits()} digits"
-            raise LoopSyntaxError(tok.line, tok.col, expected, f"{len(tok.text)} digits") from None
+            raise LoopSyntaxError(line, col, expected, f"{len(text)} digits") from None
         return -value if negative else value
 
     def relop(self) -> RelOp:
-        tok = self.peek()
+        kind, text, line, col = self.peek()
         for op in RelOp:
-            if tok.kind == op.value:
+            if kind == op.value:
                 self.pos += 1
                 return op
-        raise LoopSyntaxError(tok.line, tok.col, "a relational operator", f"'{tok.text}'")
+        raise LoopSyntaxError(line, col, "a relational operator", f"'{text}'")
 
     def guard(self) -> DiagonalFreeGuard | DiagonalGuard:
-        lhs = self.take("ident", "an identifier").text
+        lhs = self.take("ident", "an identifier")
         if self.accept("-"):
-            rhs = self.take("ident", "an identifier").text
+            rhs = self.take("ident", "an identifier")
             op = self.relop()
             bound = self.integer()
             if lhs == rhs:
@@ -176,7 +165,7 @@ class _Parser:
         return DiagonalFreeGuard(lhs, op, self.integer())
 
     def statement(self) -> tuple[str, Update]:
-        var = self.take("ident", "an identifier").text
+        var = self.take("ident", "an identifier")
         self.take(":=", "':='")
         upd = self.expression(var)
         self.take(";", "';'")
@@ -184,20 +173,19 @@ class _Parser:
 
     def expression(self, assigned: str) -> Update:
         # int | int * ident | ident +/- int | int * ident +/- int
-        tok = self.peek()
-        if tok.kind == "ident":
+        kind, text, _, _ = self.peek()
+        if kind == "ident":
             self.pos += 1
-            self._check_self_reference(tok, assigned)
-            sign_tok = self.peek()
+            self._check_self_reference(text, assigned)
             if self.accept("+"):
                 return Update(1, self.integer())
             if self.accept("-"):
                 return Update(1, -self.integer())
-            raise LoopSyntaxError(sign_tok.line, sign_tok.col, "'+' or '-'", f"'{sign_tok.text}'")
+            _, sign_text, line, col = self.peek()
+            raise LoopSyntaxError(line, col, "'+' or '-'", f"'{sign_text}'")
         value = self.integer()
         if self.accept("*"):
-            ident = self.take("ident", "an identifier")
-            self._check_self_reference(ident, assigned)
+            self._check_self_reference(self.take("ident", "an identifier"), assigned)
             if self.accept("+"):
                 return Update(value, self.integer())
             if self.accept("-"):
@@ -206,18 +194,17 @@ class _Parser:
         return Update(0, value)
 
     @staticmethod
-    def _check_self_reference(tok: _Token, assigned: str) -> None:
-        if tok.text != assigned:
+    def _check_self_reference(read: str, assigned: str) -> None:
+        if read != assigned:
             raise ShapeError(
-                f"update of '{assigned}' reads '{tok.text}'; updates may only read "
+                f"update of '{assigned}' reads '{read}'; updates may only read "
                 "the assigned variable"
             )
 
     def program(self) -> LoopProgram:
         init: dict[str, int] = {}
-        while self.peek().kind == "init":
-            self.pos += 1
-            name = self.take("ident", "an identifier").text
+        while self.accept("init"):
+            name = self.take("ident", "an identifier")
             self.take("=", "'='")
             value = self.integer()
             self.take(";", "';'")
@@ -239,8 +226,7 @@ class _Parser:
         return program
 
     def body(self, guard):
-        if self.peek().kind == "if":
-            self.pos += 1
+        if self.accept("if"):
             if not isinstance(guard, DiagonalFreeGuard):
                 raise ShapeError("multipath loops require a diagonal-free loop guard")
             self.take("(", "'('")
@@ -267,7 +253,7 @@ class _Parser:
                     )
             return MultiPathLoop(guard, cond, then_upd, else_upd)
         statements = []
-        while self.peek().kind != "}":
+        while self.peek()[0] != "}":
             statements.append(self.statement())
         if len(statements) == 1:
             if not isinstance(guard, DiagonalFreeGuard):

@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from jsonschema import validate
 
-from monoterm.cli import main
+from monoterm.cli import _json_indent2, main
 
 from conftest import NEG_FIXED_POINT, NEG_MOVING
 
@@ -220,3 +222,71 @@ def test_bad_step_budget_is_an_input_error(capsys, loop_file, monkeypatch, argv_
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+json_strings = st.text(st.characters() | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fé€😀'))
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**400), 10**400)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | json_strings
+)
+# lists of plain ints take their own path; bools and None inside one must not
+int_items = st.integers(-(10**30), 10**30) | st.booleans() | st.none()
+int_lists = st.lists(int_items) | st.lists(int_items).map(tuple)
+json_values = st.recursive(
+    json_scalars | int_lists,
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(json_strings, children)
+    ),
+    max_leaves=40,
+)
+
+
+@given(json_values)
+def test_json_writer_matches_json_dumps_indent2(value):
+    assert _json_indent2(value) == json.dumps(value, indent=2)
+
+
+def test_bench_json_is_json_dumps_indent2(capsys, tmp_path, loop_file):
+    loop_file("a.loop", EXAMPLE2)  # cycle witness
+    loop_file("b.loop", EXAMPLE1)  # formula witness
+    loop_file("c.loop", "totally not a loop")
+    assert main(["bench", str(tmp_path), "--format", "json", "--oracle-check"]) == 0
+    out = capsys.readouterr().out
+    records = json.loads(out)
+    assert [r.get("witness", {}).get("kind") for r in records] == ["cycle", "formula", None]
+    assert out == json.dumps(records, indent=2) + "\n"
+
+
+def _raise_internal(program):
+    raise AssertionError("boom")
+
+
+def test_analyze_internal_error_exits_4(capsys, loop_file, monkeypatch):
+    monkeypatch.setattr("monoterm.cli.decide", _raise_internal)
+    path = loop_file("a.loop", EXAMPLE1)
+    for fmt in ("text", "json"):
+        assert main(["analyze", str(path), "--format", fmt]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal: AssertionError: boom\n"
+
+
+def test_bench_internal_error_is_recorded_and_exits_4(capsys, tmp_path, loop_file, monkeypatch):
+    loop_file("a.loop", EXAMPLE1)
+    loop_file("b.loop", "totally not a loop")
+    monkeypatch.setattr("monoterm.cli.decide", _raise_internal)
+    assert main(["bench", str(tmp_path), "--format", "json"]) == 4
+    records = json.loads(capsys.readouterr().out)
+    assert records[0] == {"file": str(tmp_path / "a.loop"),
+                          "error": "internal: AssertionError: boom"}
+    assert sorted(records[1]) == ["error", "file"]
+    assert main(["bench", str(tmp_path)]) == 4
+    out = capsys.readouterr().out
+    assert "a.loop  ERROR  internal: AssertionError: boom" in out
+    assert "Total: 0 analyzed, 2 errors" in out

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoterm import (
     BoundExhausted,
@@ -10,7 +12,8 @@ from monoterm import (
     decide,
     run,
 )
-from monoterm.interpreter import step_values
+from monoterm.interpreter import TraceState, step_values
+from monoterm.model import DiagonalLoop
 
 from conftest import diagonal, multipath, single
 
@@ -150,3 +153,57 @@ def test_step_soundness_against_guard_and_update_primitives():
             else:
                 assert stepped == (shape.update.apply(values[0]),)
             values = stepped
+
+
+def _reference_run(p, max_steps, divergence_window):
+    """run() as a plain state-tuple loop: step_values, the guard on the value or gap."""
+    guard = p.shape.guard
+    diagonal_loop = isinstance(p.shape, DiagonalLoop)
+
+    def metric(values):
+        return values[0] - values[1] if diagonal_loop else values[0]
+
+    values = tuple(p.init[v] for v in p.variables())
+    seen = {}
+    steps = safe_run = 0
+    while True:
+        if not guard.op.holds(metric(values), guard.bound):
+            return TerminatedIn(steps)
+        if values in seen:
+            return CycleDetected(TraceState(values, seen[values]), steps - seen[values])
+        seen[values] = steps
+        if steps >= max_steps:
+            return BoundExhausted(TraceState(values, steps), steps)
+        nxt = step_values(p, values)
+        if guard.op.bounded_below:
+            safe = metric(nxt) >= metric(values)
+        else:
+            safe = metric(nxt) <= metric(values)
+        safe_run = safe_run + 1 if safe else 0
+        values = nxt
+        steps += 1
+        if divergence_window is not None and safe_run >= divergence_window:
+            return BoundExhausted(TraceState(values, steps), steps, monotone_escape=True)
+
+
+@st.composite
+def oracle_programs(draw):
+    """All three shapes, every operator pair, coefficients -3..5 (negative ones
+    included, which decide() may call Unsupported but the oracle still runs)."""
+    ops, ints = st.sampled_from(["<", "<=", ">", ">="]), st.integers(-30, 30)
+
+    def update() -> tuple[int, int]:
+        return draw(st.integers(-3, 5)), draw(st.integers(-10, 10))
+
+    shape = draw(st.sampled_from(["single", "diagonal", "multipath"]))
+    if shape == "single":
+        return single(draw(ops), draw(ints), update(), draw(ints))
+    if shape == "diagonal":
+        return diagonal(draw(ops), draw(ints), update(), update(), draw(ints), draw(ints))
+    return multipath(draw(ops), draw(ints), draw(ops), draw(ints), update(), update(), draw(ints))
+
+
+@settings(max_examples=600, deadline=None)
+@given(oracle_programs(), st.integers(1, 60), st.none() | st.integers(1, 5))
+def test_run_matches_reference_simulation(program, max_steps, window):
+    assert run(program, max_steps, window) == _reference_run(program, max_steps, window)

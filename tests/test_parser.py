@@ -156,3 +156,15 @@ def test_integer_literal_over_digit_limit_is_syntax_error():
         parse(text)
     assert (exc.value.line, exc.value.col) == (2, 13)
     assert exc.value.found == "4400 digits"
+
+
+def test_numeric_character_that_is_not_a_decimal_digit_is_not_a_token():
+    # '²' and '①' pass str.isdigit() but int() rejects them
+    for char in ("²", "①"):
+        with pytest.raises(LoopSyntaxError) as exc:
+            parse(f"init x = {char}; while (x > 0) {{ x := x - 1; }}")
+        assert str(exc.value) == f"1:10: expected a token, found '{char}'"
+    # after a letter it is part of an identifier, as any alphanumeric character is
+    p = parse("init x² = 3; while (x² > 0) { x² := x² - 1; }")
+    assert p.init == {"x²": 3}
+    assert p.shape.guard.var == "x²"
