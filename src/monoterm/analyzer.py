@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from .classifier import classify
-from .diagonal import SEARCH_BUDGET, decide_diagonal_program
+from .diagonal import decide_diagonal_program
 from .model import (
+    SEARCH_BUDGET,
     DiagonalLoop,
     LoopProgram,
     MultiPathLoop,
@@ -14,7 +15,7 @@ from .model import (
     Unsupported,
     Verdict,
 )
-from .multipath import WALK_BUDGET, decide_multipath
+from .multipath import decide_multipath
 from .single import decide_single
 
 
@@ -32,6 +33,6 @@ def decide(program: LoopProgram, search_budget: int = SEARCH_BUDGET) -> Verdict:
         if isinstance(shape, DiagonalLoop):
             return decide_diagonal_program(shape, init, search_budget)
         assert isinstance(shape, MultiPathLoop)
-        return decide_multipath(shape, init, min(search_budget, WALK_BUDGET))
+        return decide_multipath(shape, init, search_budget)
     except NonMonotoneUpdateError as err:
         return Unsupported(str(err))

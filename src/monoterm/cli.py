@@ -4,7 +4,10 @@ Exit codes for `analyze`: 0 terminating, 1 non-terminating, 2 unsupported,
 3 input error (command-line usage errors included), 4 internal error (an
 exception from the analysis itself, printed as one `error: internal:` line).
 `bench` lists unreadable or unparseable files and goes on; it exits 3 on a
-command-line input error, 4 if any file hit an internal error, else 0.
+command-line input error (a path that is not a directory included), 4 if
+any file hit an internal error, else 0.  `gen` exits 3, before it creates
+anything, when --count or --bound is below 1, and exits 3 when it cannot
+write its output directory.
 Decision times cover the decider call only (never parsing or the oracle)
 and are reported in milliseconds with microsecond digits.
 """
@@ -183,6 +186,9 @@ def _summary_counts(records: list[dict]) -> dict:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     directory = Path(args.dir)
+    if not directory.is_dir():
+        print(f"error: {directory}: not a directory", file=sys.stderr)
+        return 3
     files = sorted(directory.glob("*.loop"))
     records: list[dict] = []
     errors: list[tuple[Path, str]] = []
@@ -230,11 +236,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    for flag, value in (("--count", args.count), ("--bound", args.bound)):
+        if value < 1:
+            print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
+            return 3
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     files = generate_corpus(args.seed, args.count, args.shape, args.bound, args.cover_rows)
-    for name, text in files:
-        (outdir / name).write_text(text)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, text in files:
+            (outdir / name).write_text(text)
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 3
     print(f"wrote {len(files)} files to {outdir}")
     return 0
 

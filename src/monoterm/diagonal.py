@@ -28,6 +28,7 @@ from typing import Callable
 
 from .classifier import classify
 from .model import (
+    SEARCH_BUDGET,
     ClassKind,
     CycleWitness,
     DiagonalGuard,
@@ -38,15 +39,12 @@ from .model import (
     FormulaWitness,
     MonotoneClass,
     NonTerminating,
-    RelOp,
     Terminating,
     Unsupported,
     Update,
     Verdict,
 )
-from .psi import Escape, escape_region
-
-SEARCH_BUDGET = 10**6
+from .psi import escape_region
 
 RULE_OPPOSITE = "diag-opposite"
 RULE_PINNED = "diag-const"
@@ -126,7 +124,8 @@ def _decide(
     norm: DiagonalLoop, cls_x: MonotoneClass, cls_y: MonotoneClass, x0: int, y0: int, budget: int
 ) -> Verdict:
     """Decide a normalized diagonal loop (guard op in {>, >=})."""
-    op, c = norm.guard.op, norm.guard.bound
+    c = norm.guard.bound
+    low = norm.guard.op.limit(c)  # the guard holds while x - y >= low
     dir_x, dir_y = cls_x.direction, cls_y.direction
     if Direction.FLAT in (dir_x, dir_y):
         return _decide_with_pinned(norm, cls_x, cls_y, x0, y0)
@@ -147,7 +146,8 @@ def _decide(
         # the gap moves by v1 - v2 each step
         v1, v2 = upd_x.offset, upd_y.offset
         if v1 < v2:
-            return Terminating(escape_region(x0 - y0, c, op, Update(1, v1 - v2)).steps)
+            _, steps = escape_region(x0 - y0, Update(1, v1 - v2), False, low)
+            return Terminating(steps)
         if dir_x is Direction.UP:
             reason = f"v1={v1} >= v2={v2}"
         else:
@@ -162,7 +162,7 @@ def _decide(
     rule, condition, stop = _RUN_RULES.get((cls_x.kind, cls_y.kind, dir_x), _NO_RULE)
     cmp = ">=" if u1 >= u2 else "<"
     condition = condition.format(u1=u1, u2=u2, cmp=cmp, direction=dir_x.value)
-    return _committed_gap_run(upd_x, upd_y, x0, y0, op, c, rule, condition, stop, budget)
+    return _committed_gap_run(upd_x, upd_y, x0, y0, low, c, rule, condition, stop, budget)
 
 
 def _committed_gap_run(
@@ -170,7 +170,7 @@ def _committed_gap_run(
     upd_y: Update,
     x0: int,
     y0: int,
-    op: RelOp,
+    low: int,
     c: int,
     rule: str,
     condition: str,
@@ -180,6 +180,7 @@ def _committed_gap_run(
     """Exact search: terminate at guard violation, certify divergence at the
     first committed iterate where the stopping condition holds.
 
+    The guard is x - y >= low; the stopping conditions read the bound c.
     Both coefficients are >= 1 here.  When x moves linearly (T2 rows 1-2)
     it falls below zero only linearly fast, so once everything but x < 0
     holds, the first qualifying iteration is computed closed-form instead
@@ -200,7 +201,7 @@ def _committed_gap_run(
     x, y = x0, y0
     for n in range(1, budget + 1):
         x, y = upd_x.apply(x), upd_y.apply(y)
-        if not op.holds(x - y, c):
+        if x - y < low:
             return Terminating(n)
         if limit_sign < 0 or upd_x.first_difference(x) < upd_y.first_difference(y):
             continue  # the gap may still fall; with a negative limit sign, forever
@@ -221,9 +222,9 @@ def _decide_with_pinned(
     first application of x := b may jump), after which the gap moves with
     the non-pinned side only, or not at all.
     """
-    op, c = norm.guard.op, norm.guard.bound
+    low = norm.guard.op.limit(norm.guard.bound)
     x1, y1 = norm.lhs_update.apply(x0), norm.rhs_update.apply(y0)
-    if not op.holds(x1 - y1, c):
+    if x1 - y1 < low:
         return Terminating(1)
     dir_x, dir_y = cls_x.direction, cls_y.direction
     if dir_x is Direction.FLAT and dir_y is Direction.FLAT:
@@ -237,9 +238,8 @@ def _decide_with_pinned(
             RULE_PINNED,
             DivergenceWitness(1, "gap moves away from the bound beside a pinned variable"),
         )
-    if dir_x is Direction.FLAT:
-        escape = escape_region(y1, x1 - c, op.mirrored(), norm.rhs_update)
-    else:
-        escape = escape_region(x1, c + y1, op, norm.lhs_update)
-    assert isinstance(escape, Escape)
-    return Terminating(1 + escape.steps)
+    if dir_x is Direction.FLAT:  # y rises past x1 - low
+        _, steps = escape_region(y1, norm.rhs_update, True, x1 - low)
+    else:  # x falls past low + y1
+        _, steps = escape_region(x1, norm.lhs_update, False, low + y1)
+    return Terminating(1 + steps)

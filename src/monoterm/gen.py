@@ -175,6 +175,8 @@ def generate_corpus(
     """(filename, text) pairs; deterministic in all arguments."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     rng = random.Random(seed)
     files = []
     for i in range(count):

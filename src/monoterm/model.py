@@ -53,6 +53,15 @@ class RelOp(Enum):
     def bounded_above(self) -> bool:
         return self in (RelOp.LT, RelOp.LE)
 
+    def limit(self, bound: int) -> int:
+        """Inclusive integer limit of x op bound: x < c is x <= c-1, x > c is
+        x >= c+1.  `bounded_above` says which side of the limit holds."""
+        if self is RelOp.LT:
+            return bound - 1
+        if self is RelOp.GT:
+            return bound + 1
+        return bound
+
 
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _NEGATION = {RelOp.LT: RelOp.GE, RelOp.LE: RelOp.GT, RelOp.GT: RelOp.LE, RelOp.GE: RelOp.LT}
@@ -92,6 +101,10 @@ class DiagonalGuard:
 
 Env = dict[str, int]
 
+#: Iterations of the diagonal search, or jumps of the multipath walk, that a
+#: decider takes before it gives up with an Unsupported verdict.
+SEARCH_BUDGET = 10**6
+
 
 @dataclass(frozen=True)
 class Update:
@@ -117,20 +130,6 @@ class Direction(Enum):
     UP = "up"
     DOWN = "down"
     FLAT = "flat"
-
-
-def direction_at(upd: Update, x: int) -> Direction:
-    """Direction of the orbit of ``upd`` started at ``x``.
-
-    For coeff >= 0 the first difference d_n satisfies d_{n+1} = coeff * d_n,
-    so its sign never changes: the orbit is strictly monotone or constant.
-    """
-    d = upd.first_difference(x)
-    if d > 0:
-        return Direction.UP
-    if d < 0:
-        return Direction.DOWN
-    return Direction.FLAT
 
 
 class ClassKind(Enum):

@@ -21,8 +21,9 @@ or a fixed point of x := u*x + v) rather than a direct assignment.  Such
 instances, and the alternating rows 21-24, keep the walk's own witness.
 
 The walk first turns the guard and the branch condition into inclusive
-integer limits and each branch into a (coeff, offset, side, limit) tuple,
-so that every jump is plain integer comparisons and arithmetic.
+integer limits (RelOp.limit) and each branch into a (coeff, offset, side,
+limit) tuple, so that every jump is plain integer comparisons and
+arithmetic.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from dataclasses import dataclass
 
 from .classifier import classify
 from .model import (
+    SEARCH_BUDGET,
     AnalysisError,
     CycleWitness,
-    DiagonalFreeGuard,
     Direction,
     DivergenceWitness,
     Env,
@@ -45,11 +46,9 @@ from .model import (
     Terminating,
     Unsupported,
     Verdict,
-    direction_at,
 )
-from .psi import Escape, escape_region
+from .psi import escape_region
 
-WALK_BUDGET = 10**6
 _CYCLE_EXPANSION_CAP = 50_000
 
 
@@ -175,10 +174,12 @@ class _FormulaContext:
         self.bindings: dict[str, int] = {"x0": x0, "c": self.phi.bound, "c1": self.cond.bound}
         if row in _CONST_THEN_ROWS:
             self.const_upd, self.mono_upd = loop.then_update, loop.else_update
-            self.mono_region_op = self.cond.op.negated()
+            mono_region_op = self.cond.op.negated()
         else:
             self.const_upd, self.mono_upd = loop.else_update, loop.then_update
-            self.mono_region_op = self.cond.op
+            mono_region_op = self.cond.op
+        self.mono_upper = mono_region_op.bounded_above
+        self.mono_limit = mono_region_op.limit(self.cond.bound)
         if 25 <= row <= 28:
             if loop.then_update.coeff != 0 or loop.else_update.coeff != 0:
                 raise AnalysisError("constant-pair formulas need direct assignments")
@@ -197,12 +198,11 @@ class _FormulaContext:
         op = atom.op.negated() if relation == "!B" else atom.op
         if subject.startswith("psi("):
             arg = subject[4:-1]
-            subject = ("psi(" if self.mono_region_op.bounded_above else "psi'(") + arg + ")"
+            subject = ("psi(" if self.mono_upper else "psi'(") + arg + ")"
             if subject not in self.bindings:
-                d = self.bindings[arg]
-                escape = escape_region(d, self.cond.bound, self.mono_region_op, self.mono_upd)
-                assert isinstance(escape, Escape), "formula rows require an escaping branch"
-                self.bindings[subject] = escape.value
+                self.bindings[subject] = escape_region(
+                    self.bindings[arg], self.mono_upd, self.mono_upper, self.mono_limit
+                )[0]
         return f"{subject} {op.value} {bound_name}", op.holds(self.bindings[subject], atom.bound)
 
 
@@ -236,18 +236,12 @@ def nt_formula(row: int, loop: MultiPathLoop, x0: int) -> tuple[bool, FormulaWit
 # --- Accelerated trajectory walk ---------------------------------------------
 #
 # The walk runs on integer limits computed once per loop.  A relation
-# becomes an inclusive limit (x < c is x <= c-1, x > c is x >= c+1), and a
-# branch becomes the tuple (coeff, offset, region_is_upper, limit): the
-# branch fires while x <= limit when region_is_upper, else while x >= limit.
-# The else-region's limit is the complement of the then-region's.
+# becomes an inclusive limit (RelOp.limit), and a branch becomes the tuple
+# (coeff, offset, region_is_upper, limit): the branch fires while
+# x <= limit when region_is_upper, else while x >= limit.  The
+# else-region is the negated branch condition.
 
 _Branch = tuple[int, int, bool, int]
-_INCLUSIVE_SHIFT = {RelOp.LT: -1, RelOp.LE: 0, RelOp.GT: 1, RelOp.GE: 0}
-
-
-def _limit(atom: DiagonalFreeGuard) -> tuple[bool, int]:
-    """(bounded above, inclusive limit) of the relation x op c."""
-    return atom.op.bounded_above, atom.bound + _INCLUSIVE_SHIFT[atom.op]
 
 
 def _cycle_witness(
@@ -281,7 +275,7 @@ def accelerated_walk(
     x0: int,
     rule: str,
     procedure: str | None = None,
-    max_jumps: int = WALK_BUDGET,
+    max_jumps: int = SEARCH_BUDGET,
     trace: list[int] | None = None,
 ) -> Verdict:
     """Walk branch-switch values, deciding by guard exit, value recurrence,
@@ -295,14 +289,15 @@ def accelerated_walk(
     monotonically through the guard bound (terminating).  A negative
     coefficient that moves the value is non-monotone and unsupported.
     """
-    phi = loop.guard
-    phi_upper, phi_limit = _limit(phi)
+    phi, cond = loop.guard, loop.branch_cond
+    phi_upper, phi_limit = phi.op.bounded_above, phi.op.limit(phi.bound)
     assert x0 <= phi_limit if phi_upper else x0 >= phi_limit
-    cond_upper, cond_limit = _limit(loop.branch_cond)
+    cond_upper, cond_limit = cond.op.bounded_above, cond.op.limit(cond.bound)
+    else_op = cond.op.negated()
     then_u, else_u = loop.then_update, loop.else_update
     branches = then_br, else_br = (
         (then_u.coeff, then_u.offset, cond_upper, cond_limit),
-        (else_u.coeff, else_u.offset, not cond_upper, cond_limit + (1 if cond_upper else -1)),
+        (else_u.coeff, else_u.offset, else_op.bounded_above, else_op.limit(cond.bound)),
     )
     steps_at: dict[int, int] = {}  # switch value -> steps taken to reach it, in walk order
     val, steps = x0, 0
@@ -319,10 +314,13 @@ def accelerated_walk(
                 f"non-monotone update x := {a}*x + {b}: alternates direction from {val}"
             )
         if a == 0 or (diff > 0) == upper:
-            # first value outside the branch's region, and the step count
+            # first value outside the branch's region, and the step count.
+            # This is escape_region's arithmetic, inlined on purpose: calling
+            # escape_region for every jump raised the per-file p99 decision
+            # time on the perfbench alternation corpus by about a third.
             if a == 0:
                 nxt, n = b, 1
-            elif a == 1:  # psi_a / psi_prime_a: one step past the last in-region value
+            elif a == 1:  # one step past the last in-region value
                 n = (limit - val) // b + 1
                 nxt = val + n * b
             else:  # exponential: logarithmically many steps
@@ -353,8 +351,8 @@ def accelerated_walk(
                 ),
             )
         # the guard fails within this run
-        upd = then_u if in_then else else_u
-        return Terminating(steps + escape_region(val, phi.bound, phi.op, upd).steps)
+        _, n = escape_region(val, then_u if in_then else else_u, phi_upper, phi_limit)
+        return Terminating(steps + n)
     return Unsupported(f"trajectory walk exceeded {max_jumps} jumps")
 
 
@@ -374,12 +372,12 @@ def _needs_walk(row: int, loop: MultiPathLoop, cls1: MonotoneClass, cls2: Monoto
     if const_upd.coeff != 0:
         return True
     if mono_cls.is_exponential:
-        return direction_at(mono_upd, const_upd.offset) is not mono_cls.direction
+        return classify(mono_upd, const_upd.offset).direction is not mono_cls.direction
     return False
 
 
 def decide_multipath(
-    loop: MultiPathLoop, init: Env, walk_budget: int = WALK_BUDGET
+    loop: MultiPathLoop, init: Env, walk_budget: int = SEARCH_BUDGET
 ) -> Verdict:
     """Classify both branches at x0, walk the trajectory, and explain a
     non-terminating walk by the row's closed formula where it applies."""

@@ -18,7 +18,7 @@ from .model import (
     Terminating,
     Verdict,
 )
-from .psi import Escape, escape_region
+from .psi import escape_region
 
 RULE_LEMMA1 = "Lemma1"
 RULE_LEMMA1_CONST = "Lemma1-const"
@@ -37,9 +37,9 @@ def decide_single(guard: DiagonalFreeGuard, cls: MonotoneClass, x0: int) -> Verd
         guard.op.bounded_below and cls.direction is Direction.DOWN
     )
     if exits:
-        escape = escape_region(x0, guard.bound, guard.op, class_update(cls))
-        assert isinstance(escape, Escape)
-        return Terminating(escape.steps)
+        op = guard.op
+        _, steps = escape_region(x0, class_update(cls), op.bounded_above, op.limit(guard.bound))
+        return Terminating(steps)
     return NonTerminating(
         RULE_LEMMA1,
         FormulaWitness(

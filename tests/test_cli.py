@@ -143,6 +143,45 @@ def test_bench_empty_dir(capsys, tmp_path):
     assert "T=0 NT=0 TO=0 M=0" in out
 
 
+def test_bench_on_a_missing_path_or_a_file_is_an_input_error(capsys, tmp_path, loop_file):
+    path = loop_file("a.loop", EXAMPLE1)
+    for target in (tmp_path / "nope", path):
+        for fmt in ("text", "json"):
+            assert main(["bench", str(target), "--format", fmt]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {target}: not a directory\n"
+
+
+@pytest.mark.parametrize(
+    "argv_tail, message",
+    [
+        (["--count", "20", "--bound", "0"], "--bound must be at least 1, got 0"),
+        (["--count", "20", "--bound", "-3"], "--bound must be at least 1, got -3"),
+        (["--count", "0"], "--count must be at least 1, got 0"),
+        (["--count", "-2"], "--count must be at least 1, got -2"),
+    ],
+)
+def test_gen_rejects_bad_count_or_bound_before_writing(capsys, tmp_path, argv_tail, message):
+    outdir = tmp_path / "out"
+    assert main(["gen", str(outdir), "--seed", "1"] + argv_tail) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not outdir.exists()
+
+
+def test_gen_into_a_regular_file_is_an_input_error(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for outdir in (blocker, blocker / "sub"):
+        assert main(["gen", str(outdir), "--seed", "1", "--count", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(outdir) in captured.err
+
+
 def test_gen_is_reproducible(capsys, tmp_path):
     out1, out2 = tmp_path / "c1", tmp_path / "c2"
     assert main(["gen", str(out1), "--seed", "7", "--count", "10"]) == 0

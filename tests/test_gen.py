@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from monoterm import ClassKind, Unsupported, classify, decide, parse
 from monoterm.gen import (
     diagonal_for_pair,
@@ -14,6 +16,12 @@ from monoterm.multipath import case_row
 def test_corpus_is_deterministic():
     assert generate_corpus(7, 10) == generate_corpus(7, 10)
     assert generate_corpus(7, 10) != generate_corpus(8, 10)
+
+
+def test_corpus_rejects_bound_or_count_below_one():
+    for count, bound in ((20, 0), (20, -3), (0, 20)):
+        with pytest.raises(ValueError):
+            generate_corpus(1, count, bound=bound)
 
 
 def test_corpus_parses():

@@ -3,8 +3,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import brute_first_falsifier
-from monoterm import AnalysisError, Direction, RelOp, Update, psi_a, psi_prime_a
-from monoterm.psi import Escape, Trapped, escape_region
+from monoterm import AnalysisError, RelOp, Update, psi_a, psi_prime_a
+from monoterm.psi import escape_region
+
+
+def escape(d, bound, op, upd):
+    """escape_region for the relation x op bound."""
+    return escape_region(d, upd, op.bounded_above, op.limit(bound))
 
 
 def test_psi_a_examples():
@@ -22,15 +27,17 @@ def test_psi_prime_a_examples():
 
 
 def test_psi_iter_examples():
-    assert escape_region(1, 5, RelOp.LE, Update(2, 0)).value == 8
-    assert escape_region(1, 5, RelOp.LT, Update(2, 1)).value == 7
-    assert escape_region(-1, -10, RelOp.GE, Update(2, 0)).value == -16
+    assert escape(1, 5, RelOp.LE, Update(2, 0)) == (8, 3)
+    assert escape(1, 5, RelOp.LT, Update(2, 1)) == (7, 2)
+    assert escape(-1, -10, RelOp.GE, Update(2, 0)) == (-16, 4)
 
 
 def test_psi_iter_rejects_non_escaping_orbit():
     # doubling a negative never exceeds 5; doubling a positive never drops below 0
-    assert escape_region(-4, 5, RelOp.LE, Update(2, 0)) == Trapped(Direction.DOWN)
-    assert escape_region(3, 0, RelOp.GE, Update(2, 0)) == Trapped(Direction.UP)
+    with pytest.raises(AnalysisError):
+        escape(-4, 5, RelOp.LE, Update(2, 0))
+    with pytest.raises(AnalysisError):
+        escape(3, 0, RelOp.GE, Update(2, 0))
 
 
 def test_psi_preconditions():
@@ -42,6 +49,10 @@ def test_psi_preconditions():
         psi_a(3, 5, 2, RelOp.GE)  # wrong bound direction
     with pytest.raises(AnalysisError):
         psi_prime_a(1, 5, 2, RelOp.GE)
+    with pytest.raises(AnalysisError):
+        escape_region(9, Update(1, 2), True, 5)  # start outside the region
+    with pytest.raises(AnalysisError):
+        escape_region(3, Update(0, 9), True, 5)  # a constant assignment is no orbit
 
 
 up_ops = st.sampled_from((RelOp.LT, RelOp.LE))
@@ -75,7 +86,7 @@ def test_psi_prime_a_matches_brute_force(d, c1, step, op):
 @given(
     st.integers(-40, 40),
     st.integers(-20, 20),
-    st.integers(1, 3).map(lambda u: u),
+    st.integers(1, 3),
     st.integers(-10, 10),
     st.sampled_from(list(RelOp)),
 )
@@ -83,25 +94,34 @@ def test_escape_region_matches_direct_iteration(d, bound, u, v, op):
     upd = Update(u, v)
     if not op.holds(d, bound):
         return
-    result = escape_region(d, bound, op, upd)
-    if isinstance(result, Trapped):
-        # the orbit provably never leaves: check 60 steps stay inside
+    diff = upd.first_difference(d)
+    if diff == 0 or (diff > 0) != op.bounded_above:
+        # the orbit never leaves: check 60 steps stay inside, and that it is refused
         x = d
         for _ in range(60):
             x = upd.apply(x)
             assert op.holds(x, bound)
-        if result.direction is Direction.FLAT:
-            assert upd.apply(d) == d
+        with pytest.raises(AnalysisError):
+            escape(d, bound, op, upd)
         return
-    assert isinstance(result, Escape)
     x, steps = d, 0
     while op.holds(x, bound):
         x = upd.apply(x)
         steps += 1
-    assert (result.value, result.steps) == (x, steps)
+    assert escape(d, bound, op, upd) == (x, steps)
 
 
 def test_escape_region_trapped_directions():
-    assert escape_region(3, 10, RelOp.LE, Update(1, -2)) == Trapped(Direction.DOWN)
-    assert escape_region(3, 0, RelOp.GE, Update(1, 2)) == Trapped(Direction.UP)
-    assert escape_region(3, 10, RelOp.LE, Update(1, 0)) == Trapped(Direction.FLAT)
+    for d, bound, op, upd in (
+        (3, 10, RelOp.LE, Update(1, -2)),  # moving down, away from an upper limit
+        (3, 0, RelOp.GE, Update(1, 2)),  # moving up, away from a lower limit
+        (3, 10, RelOp.LE, Update(1, 0)),  # not moving at all
+    ):
+        with pytest.raises(AnalysisError):
+            escape(d, bound, op, upd)
+
+
+@given(st.integers(-50, 50), st.integers(-50, 50), st.sampled_from(list(RelOp)))
+def test_limit_agrees_with_holds(x, c, op):
+    limit = op.limit(c)
+    assert op.holds(x, c) == (x <= limit if op.bounded_above else x >= limit)
