@@ -177,7 +177,7 @@ def _summary_counts(records: list[dict]) -> dict:
             counts["T"] += 1
         elif r["verdict"] == "nonterminating":
             counts["NT"] += 1
-        elif "exceeded" in (r.get("reason") or ""):
+        elif r.get("code") == "budget":
             counts["TO"] += 1
         else:
             counts["M"] += 1

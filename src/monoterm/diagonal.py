@@ -210,7 +210,7 @@ def _committed_gap_run(
         if u1 == 1 and y < x - c and y < 0 <= x:
             extra = x // -upd_x.offset + 1  # first k with x + v1*k < 0
             return NonTerminating(rule, DivergenceWitness(n + extra, condition))
-    return Unsupported(f"search budget of {budget} iterations exceeded")
+    return Unsupported(f"search budget of {budget} iterations exceeded", "budget")
 
 
 def _decide_with_pinned(

@@ -321,10 +321,20 @@ class NonTerminating:
 
 @dataclass(frozen=True)
 class Unsupported:
+    """Undecided: ``code`` is ``"budget"`` when a walk or search ran out of
+    its budget, ``"non-monotone"`` when an update alternates direction."""
+
     reason: str
+    code: str = "non-monotone"
 
     def to_json(self) -> dict:
-        return {"verdict": "unsupported", "rule": None, "witness": None, "reason": self.reason}
+        return {
+            "verdict": "unsupported",
+            "rule": None,
+            "witness": None,
+            "reason": self.reason,
+            "code": self.code,
+        }
 
 
 Verdict = Union[Terminating, NonTerminating, Unsupported]

@@ -29,6 +29,7 @@ arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .classifier import classify
 from .model import (
@@ -270,6 +271,53 @@ def _cycle_witness(
     return CycleWitness(tuple(values), procedure)
 
 
+def _rotation_cycle(
+    branches: tuple[_Branch, _Branch],
+    x0: int,
+    v1: int,
+    phi_upper: bool,
+    phi_limit: int,
+    max_jumps: int,
+) -> tuple[int, ...] | None:
+    """The walk's cycle in closed form when both branches are arithmetic
+    and each moves toward its own limit, or None to keep walking.
+
+    With x := x + A on x <= U and x := x - B on x >= U+1, the second
+    switch value v1 lies in the window [U+1-B, U+A], where the loop is a
+    rotation by A modulo m = A+B whose orbit is v1's residue class mod
+    g = gcd(A, B), P = m // g values.  The loop cycles exactly when the
+    class's extreme value facing the guard's limit satisfies the guard;
+    otherwise the walk finds the exit.  The cycle starts at the first of
+    x0 (if in the window), v1 and the end of v1's run that begins a run,
+    and the walk would reach it in 2*min(A, B)//g jumps plus its index:
+    past max_jumps, or past the expansion cap, the walk decides instead.
+    """
+    (a1, off1, up1, lim1), (a2, off2, _, lim2) = branches
+    if a1 != 1 or a2 != 1:
+        return None
+    A, B, U = (off1, -off2, lim1) if up1 else (off2, -off1, lim2)
+    if A <= 0 or B <= 0:
+        return None
+    lo, hi, m, g = U + 1 - B, U + A, A + B, gcd(A, B)
+    period = m // g
+    if period > _CYCLE_EXPANSION_CAP:
+        return None
+    if hi - (hi - v1) % g > phi_limit if phi_upper else lo + (v1 - lo) % g < phi_limit:
+        return None
+    if v1 <= U:
+        v2 = v1 + ((U - v1) // A + 1) * A
+    else:
+        v2 = v1 - ((v1 - U - 1) // B + 1) * B
+    # x begins a run when its rotation predecessor lies in the other branch
+    index, start = next(
+        (i, x) for i, x in enumerate((x0, v1, v2))
+        if (i or lo <= x0 <= hi) and (x <= U) == (x - A < lo)
+    )
+    if 2 * min(A, B) // g + index > max_jumps:
+        return None
+    return tuple(map(lo.__add__, map(m.__rmod__, range(start - lo, start - lo + period * A, A))))
+
+
 def accelerated_walk(
     loop: MultiPathLoop,
     x0: int,
@@ -301,6 +349,7 @@ def accelerated_walk(
     )
     steps_at: dict[int, int] = {}  # switch value -> steps taken to reach it, in walk order
     val, steps = x0, 0
+    rotation = True  # try _rotation_cycle once, at the second switch value
     for _ in range(max_jumps):
         if trace is not None:
             trace.append(val)
@@ -335,6 +384,13 @@ def accelerated_walk(
                     cycle = path[path.index(nxt):]
                     period = steps - steps_at[nxt]
                     return NonTerminating(rule, _cycle_witness(branches, cycle, period, procedure))
+                if rotation:
+                    rotation = False
+                    values = _rotation_cycle(branches, x0, nxt, phi_upper, phi_limit, max_jumps)
+                    if values:
+                        if trace is not None:
+                            trace.append(nxt)
+                        return NonTerminating(rule, CycleWitness(values, procedure))
                 val = nxt
                 continue
             if a == 0:
@@ -353,7 +409,7 @@ def accelerated_walk(
         # the guard fails within this run
         _, n = escape_region(val, then_u if in_then else else_u, phi_upper, phi_limit)
         return Terminating(steps + n)
-    return Unsupported(f"trajectory walk exceeded {max_jumps} jumps")
+    return Unsupported(f"trajectory walk exceeded {max_jumps} jumps", "budget")
 
 
 # --- Dispatch -----------------------------------------------------------------

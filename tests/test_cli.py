@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from jsonschema import validate
 
-from monoterm.cli import _json_indent2, main
+from monoterm.cli import _json_indent2, _summary_counts, main
 
 from conftest import NEG_FIXED_POINT, NEG_MOVING
 
@@ -21,6 +21,7 @@ VERDICT_SCHEMA = {
         "witness": {"type": ["object", "null"]},
         "iterations": {"type": "integer", "minimum": 0},
         "reason": {"type": "string"},
+        "code": {"enum": ["budget", "non-monotone"]},
         "decision_ms": {"type": "number", "minimum": 0},
         "oracle": {
             "type": "object",
@@ -101,6 +102,16 @@ def test_bench_table_and_summary(capsys, tmp_path, loop_file):
     assert "Total: 2 analyzed, 1 errors" in out
     assert "T=1 NT=1 TO=0 M=0" in out
     assert "ERROR" in out
+
+
+def test_summary_counts_timeouts_by_reason_code():
+    # the word "exceeded" in a reason no longer makes a timeout; the code does
+    records = [
+        {"verdict": "unsupported", "reason": "walk exceeded 5 jumps", "code": "budget"},
+        {"verdict": "unsupported", "reason": "exceeded, alternates", "code": "non-monotone"},
+        {"verdict": "terminating"},
+    ]
+    assert _summary_counts(records) == {"T": 1, "NT": 0, "TO": 1, "M": 1}
 
 
 def test_bench_json_is_schema_valid_array(capsys, tmp_path, loop_file):
@@ -228,6 +239,10 @@ def test_negative_coefficient_loops_exit_with_verdict_codes(capsys, loop_file):
     assert "oracle: cycle after 1 steps, agrees" in out
     assert main(["analyze", str(moving)]) == 2
     assert "non-monotone" in capsys.readouterr().out
+    assert main(["analyze", str(moving), "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out)["code"] == "non-monotone"
+    assert main(["bench", str(moving.parent)]) == 0
+    assert "T=0 NT=1 TO=0 M=1" in capsys.readouterr().out
 
 
 def test_overlong_integer_literal_is_a_syntax_error(capsys, tmp_path, loop_file):

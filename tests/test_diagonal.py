@@ -145,6 +145,7 @@ def test_search_budget_exhaustion_reports_unsupported():
     v = decide(program, search_budget=5)
     assert isinstance(v, Unsupported)
     assert "exceeded" in v.reason
+    assert v.code == "budget" and v.to_json()["code"] == "budget"
     full = decide(program)
     assert isinstance(full, NonTerminating) and full.rule == "T2-row1"
     assert full.witness.iteration == 10001  # closed-form jump to the first x < 0

@@ -1,7 +1,9 @@
 import itertools
+import json
 import random
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from monoterm import (
@@ -23,9 +25,10 @@ from monoterm import (
     nt_formula,
     run,
 )
+from monoterm import multipath as multipath_module
 from monoterm.gen import multipath_for_row
 from monoterm.interpreter import step_values
-from monoterm.multipath import accelerated_walk
+from monoterm.multipath import _rotation_cycle, accelerated_walk
 from monoterm.parser import parse
 
 from conftest import NEG_FIXED_POINT, NEG_MOVING, multipath
@@ -239,6 +242,16 @@ def test_walk_budget_exhaustion_reports_unsupported(example2):
     assert full.rule == "T3-row1" and isinstance(full.witness, FormulaWitness)
 
 
+def test_budget_and_non_monotone_reason_codes(example2):
+    budget = decide(example2, search_budget=2)
+    assert budget.code == "budget"
+    assert budget.to_json()["code"] == "budget"
+    moving = decide(parse(NEG_MOVING))
+    assert moving.code == "non-monotone"
+    assert moving.to_json()["code"] == "non-monotone"
+    assert "code" not in decide(example2).to_json()
+
+
 def test_all_rows_oracle_agreement_sample():
     rng = random.Random(20260810)
     for row in range(1, 37):
@@ -248,6 +261,98 @@ def test_all_rows_oracle_agreement_sample():
             assert not isinstance(verdict, Unsupported), (row, program)
             agreement = agreement_check(program, verdict, 10**6)
             assert agreement.ok, (row, program, verdict, agreement)
+
+
+def test_all_rows_agree_with_the_oracle_on_loops_that_enter_their_body():
+    # multipath_for_row draws x0 independently of the guard, so half of its
+    # loops never run; redraw until the guard holds, as perfbench does
+    rng = random.Random(20261018)
+    for row, bound in itertools.product(range(1, 37), (20, 2000)):
+        for _ in range(15):
+            while True:
+                program = multipath_for_row(rng, row, bound)
+                guard = program.shape.guard
+                if guard.op.holds(program.init["x"], guard.bound):
+                    break
+            verdict = decide(program)
+            assert not isinstance(verdict, Unsupported), (row, program)
+            agreement = agreement_check(program, verdict, 10**6)
+            assert agreement.ok, (row, program, verdict, agreement)
+
+
+# --- Closed-form rotation for two arithmetic branches ---------------------
+
+
+def test_example2_rotation_decides_at_the_second_switch_value(example2):
+    trace: list[int] = []
+    v = accelerated_walk(example2.shape, 3, "T3-row21", "alg3", trace=trace)
+    assert v == NonTerminating("T3-row21", CycleWitness((3, 5, 7, 4, 6), procedure="alg3"))
+    assert trace == [3, 7]  # the walk alone takes four jumps
+
+
+@pytest.mark.parametrize(
+    "program, rule, cycle",
+    [
+        # x := x + 2 / x := x - 4 rotates the window [2, 7] in two classes mod 2:
+        # the guard cuts off 7, which lies outside the even class of 2, 4, 6
+        (multipath("<=", 6, "<=", 5, (1, 2), (1, -4), 2), "T3-row21", (2, 4, 6)),
+        # the odd class's least value 3 sits exactly on the guard's limit
+        (multipath(">=", 3, "<=", 5, (1, 2), (1, -4), 3), "T3-row23", (3, 5, 7)),
+    ],
+)
+def test_rotation_checks_only_the_residue_class_of_v1(program, rule, cycle):
+    trace: list[int] = []
+    v = accelerated_walk(program.shape, program.init["x"], rule, trace=trace)
+    assert v == NonTerminating(rule, CycleWitness(cycle))
+    assert len(trace) == 2
+    assert decide(program).witness.values == cycle
+
+
+def _verdict_json(verdict) -> str:
+    return json.dumps(verdict.to_json(), sort_keys=True)
+
+
+@st.composite
+def arithmetic_alternation_programs(draw):
+    """Both branches x := x + offset, under every operator pair."""
+    ops = st.sampled_from(["<", "<=", ">", ">="])
+    consts, offsets = st.integers(-60, 60), st.integers(-25, 25)
+    return multipath(
+        draw(ops), draw(consts), draw(ops), draw(consts),
+        (1, draw(offsets)), (1, draw(offsets)), draw(consts),
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(arithmetic_alternation_programs())
+def test_rotation_closed_form_matches_the_walk(program):
+    """Verdict JSON with and without the closed form agrees at small budgets,
+    at the walk's own jump count J and J-1, and at the default budget."""
+    guard = program.shape.guard
+    assume(guard.op.holds(program.init["x"], guard.bound))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multipath_module, "_rotation_cycle", lambda *args: None)
+        trace: list[int] = []
+        accelerated_walk(program.shape, program.init["x"], "", trace=trace)
+        budgets = {1, 2, 3, 4, 5, max(len(trace) - 1, 1), len(trace), 10**6}
+        walked = {budget: _verdict_json(decide(program, budget)) for budget in budgets}
+    emitted: list[tuple[int, ...]] = []
+
+    def spy(*args):
+        values = _rotation_cycle(*args)
+        emitted.extend([values] if values else [])
+        return values
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multipath_module, "_rotation_cycle", spy)
+        for budget in sorted(budgets):
+            assert _verdict_json(decide(program, budget)) == walked[budget], (program, budget)
+    for values in emitted:
+        verdict = NonTerminating("", CycleWitness(values))
+        agreement = agreement_check(program, verdict)
+        assert isinstance(agreement.oracle, CycleDetected), (program, agreement)
+        assert agreement.oracle.period == len(values)
+        assert _replays(program, verdict.witness), (program, values)
 
 
 # --- Negative coefficients and the random differential --------------------
