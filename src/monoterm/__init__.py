@@ -42,7 +42,6 @@ from .model import (
     Verdict,
 )
 from .multipath import (
-    CaseKey,
     accelerated_walk,
     case_row,
     decide_multipath,
@@ -86,7 +85,6 @@ __all__ = [
     "Direction",
     "ClassKind",
     "MonotoneClass",
-    "CaseKey",
     "Terminating",
     "NonTerminating",
     "Unsupported",

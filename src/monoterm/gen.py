@@ -26,15 +26,13 @@ from .model import (
     SinglePathLoop,
     Update,
 )
-from .multipath import _CASE_ROWS, CaseKey, case_row
+from .multipath import ROW_KEYS, case_row
 from .parser import print_program
 
 SHAPES = ("single", "diagonal", "multipath")
 _BELOW_OPS = (RelOp.GT, RelOp.GE)
 _ABOVE_OPS = (RelOp.LT, RelOp.LE)
 _RATIOS = (2, 3)
-
-_ROW_KEYS: dict[int, CaseKey] = {row: key for key, row in _CASE_ROWS.items()}
 
 
 def _int(rng: random.Random, bound: int) -> int:
@@ -118,15 +116,15 @@ def random_program(rng: random.Random, shape: str, bound: int) -> LoopProgram:
 
 def multipath_for_row(rng: random.Random, row: int, bound: int) -> LoopProgram:
     """A multipath program whose case key lands exactly on the given row."""
-    key = _ROW_KEYS[row]
+    phi_below, cond_below, dir1, dir2 = ROW_KEYS[row]
     for _ in range(256):
-        phi_op = rng.choice(_BELOW_OPS if key.phi_below else _ABOVE_OPS)
-        cond_op = rng.choice(_BELOW_OPS if key.cond_below else _ABOVE_OPS)
+        phi_op = rng.choice(_BELOW_OPS if phi_below else _ABOVE_OPS)
+        cond_op = rng.choice(_BELOW_OPS if cond_below else _ABOVE_OPS)
         guard = DiagonalFreeGuard("x", phi_op, _int(rng, bound))
         cond = DiagonalFreeGuard("x", cond_op, _int(rng, bound))
         x0 = _int(rng, bound)
-        then_upd = _directed_update(rng, key.dir1, x0, bound)
-        else_upd = _directed_update(rng, key.dir2, x0, bound)
+        then_upd = _directed_update(rng, dir1, x0, bound)
+        else_upd = _directed_update(rng, dir2, x0, bound)
         program = LoopProgram(MultiPathLoop(guard, cond, then_upd, else_upd), {"x": x0})
         try:
             cls1 = classify(then_upd, x0)

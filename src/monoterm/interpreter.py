@@ -69,13 +69,8 @@ def _at_least(op: RelOp, bound: int, sign: int) -> tuple[int, bool]:
     """(cut, above) such that `op.holds(sign * v, bound)` iff `(v >= cut) == above`."""
     if sign < 0:
         op, bound = op.mirrored(), -bound
-    if op is RelOp.GE:
-        return bound, True
-    if op is RelOp.GT:
-        return bound + 1, True
-    if op is RelOp.LE:
-        return bound + 1, False
-    return bound, False
+    limit = op.limit(bound)
+    return (limit, True) if op.bounded_below else (limit + 1, False)
 
 
 def run(

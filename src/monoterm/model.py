@@ -76,9 +76,6 @@ class DiagonalFreeGuard:
     op: RelOp
     bound: int
 
-    def negated(self) -> "DiagonalFreeGuard":
-        return DiagonalFreeGuard(self.var, self.op.negated(), self.bound)
-
     def __str__(self) -> str:
         return f"{self.var} {self.op.value} {self.bound}"
 
@@ -91,9 +88,6 @@ class DiagonalGuard:
     rhs: str
     op: RelOp
     bound: int
-
-    def negated(self) -> "DiagonalGuard":
-        return DiagonalGuard(self.lhs, self.rhs, self.op.negated(), self.bound)
 
     def __str__(self) -> str:
         return f"{self.lhs} - {self.rhs} {self.op.value} {self.bound}"

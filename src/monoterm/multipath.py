@@ -7,18 +7,17 @@ from branch switch to branch switch that jumps over each monotone run
 with a first-falsifier computation and detects repeated switch values.
 It evaluates branch directions at every value it actually visits.
 
-A 36-way case split on the bound direction of the guard, the bound
-direction of the branch condition, and the direction class of each
-branch update at x0 (up, down, or constant) names the rule and explains
-a non-terminating walk.  Rows 29-36 report the branches' shared
-direction; rows with a closed non-termination formula report its
-conjuncts, and the formula must hold.  The formulas assume a branch
-behaves the same wherever it fires.  That fails for a geometric/affine
-branch re-entered at the constant branch's value b that moves the other
-way than at x0 (x := 2*x increases positive values and decreases
-negative ones), and for a branch that is only orbit-constant (x := x,
-or a fixed point of x := u*x + v) rather than a direct assignment.  Such
-instances, and the alternating rows 21-24, keep the walk's own witness.
+Table 3, stated once as CASE_ROWS, maps the key (guard bounded below,
+branch condition bounded below, then- and else-direction at x0: U, D or
+C for constant) to the row that names the rule and explains a
+non-terminating walk; ROW_KEYS is its inverse.  Rows 29-36 report the
+branches' shared direction; rows with a closed formula report its
+conjuncts, which must hold.  One predicate, formula_applies, says when a
+formula may stand for the walk: every constant branch is a direct
+assignment x := b (not x := x, or a fixed point of x := u*x + v), and
+the monotone branch re-entered at b moves the way it moves at x0
+(x := 2*x increases positive values and decreases negative ones).
+Elsewhere, and on the alternating rows 21-24, the walk's witness stands.
 
 The walk first turns the guard and the branch condition into inclusive
 integer limits (RelOp.limit) and each branch into a (coeff, offset, side,
@@ -28,7 +27,6 @@ arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .classifier import classify
@@ -40,7 +38,6 @@ from .model import (
     DivergenceWitness,
     Env,
     FormulaWitness,
-    MonotoneClass,
     MultiPathLoop,
     NonTerminating,
     RelOp,
@@ -52,68 +49,55 @@ from .psi import escape_region
 
 _CYCLE_EXPANSION_CAP = 50_000
 
-
-@dataclass(frozen=True)
-class CaseKey:
-    """Dispatch key: bound sides of guard and branch condition plus the
-    direction summary (U/D/C) of each branch update."""
-
-    phi_below: bool
-    cond_below: bool
-    dir1: str
-    dir2: str
-
-
 _DIR_CODE = {Direction.UP: "U", Direction.DOWN: "D", Direction.FLAT: "C"}
 
-# (phi bounded below, cond bounded below, dir1, dir2) -> table row
-_CASE_ROWS: dict[CaseKey, int] = {
-    CaseKey(True, False, "U", "C"): 1,
-    CaseKey(False, True, "D", "C"): 2,
-    CaseKey(True, True, "C", "U"): 3,
-    CaseKey(False, False, "C", "D"): 4,
-    CaseKey(True, False, "D", "C"): 5,
-    CaseKey(False, True, "U", "C"): 6,
-    CaseKey(True, True, "C", "D"): 7,
-    CaseKey(False, False, "C", "U"): 8,
-    CaseKey(True, False, "C", "U"): 9,
-    CaseKey(False, True, "C", "D"): 10,
-    CaseKey(False, False, "D", "C"): 11,
-    CaseKey(True, True, "U", "C"): 12,
-    CaseKey(False, False, "U", "C"): 13,
-    CaseKey(False, True, "C", "U"): 14,
-    CaseKey(True, True, "D", "C"): 15,
-    CaseKey(True, False, "C", "D"): 16,
-    CaseKey(True, True, "U", "D"): 17,
-    CaseKey(False, False, "D", "U"): 18,
-    CaseKey(False, True, "U", "D"): 19,
-    CaseKey(True, False, "D", "U"): 20,
-    CaseKey(False, False, "U", "D"): 21,
-    CaseKey(False, True, "D", "U"): 22,
-    CaseKey(True, False, "U", "D"): 23,
-    CaseKey(True, True, "D", "U"): 24,
-    CaseKey(True, True, "C", "C"): 25,
-    CaseKey(True, False, "C", "C"): 26,
-    CaseKey(False, True, "C", "C"): 27,
-    CaseKey(False, False, "C", "C"): 28,
-    CaseKey(True, True, "U", "U"): 29,
-    CaseKey(True, False, "U", "U"): 30,
-    CaseKey(False, True, "U", "U"): 31,
-    CaseKey(False, False, "U", "U"): 32,
-    CaseKey(True, True, "D", "D"): 33,
-    CaseKey(True, False, "D", "D"): 34,
-    CaseKey(False, True, "D", "D"): 35,
-    CaseKey(False, False, "D", "D"): 36,
+#: Table 3: (guard bounded below, condition bounded below, then-direction,
+#: else-direction) -> row.
+CASE_ROWS: dict[tuple[bool, bool, str, str], int] = {
+    (True, False, "U", "C"): 1,
+    (False, True, "D", "C"): 2,
+    (True, True, "C", "U"): 3,
+    (False, False, "C", "D"): 4,
+    (True, False, "D", "C"): 5,
+    (False, True, "U", "C"): 6,
+    (True, True, "C", "D"): 7,
+    (False, False, "C", "U"): 8,
+    (True, False, "C", "U"): 9,
+    (False, True, "C", "D"): 10,
+    (False, False, "D", "C"): 11,
+    (True, True, "U", "C"): 12,
+    (False, False, "U", "C"): 13,
+    (False, True, "C", "U"): 14,
+    (True, True, "D", "C"): 15,
+    (True, False, "C", "D"): 16,
+    (True, True, "U", "D"): 17,
+    (False, False, "D", "U"): 18,
+    (False, True, "U", "D"): 19,
+    (True, False, "D", "U"): 20,
+    (False, False, "U", "D"): 21,
+    (False, True, "D", "U"): 22,
+    (True, False, "U", "D"): 23,
+    (True, True, "D", "U"): 24,
+    (True, True, "C", "C"): 25,
+    (True, False, "C", "C"): 26,
+    (False, True, "C", "C"): 27,
+    (False, False, "C", "C"): 28,
+    (True, True, "U", "U"): 29,
+    (True, False, "U", "U"): 30,
+    (False, True, "U", "U"): 31,
+    (False, False, "U", "U"): 32,
+    (True, True, "D", "D"): 33,
+    (True, False, "D", "D"): 34,
+    (False, True, "D", "D"): 35,
+    (False, False, "D", "D"): 36,
 }
-
-# Rows where the if-branch is the constant one (else-branch is monotone).
-_CONST_THEN_ROWS = frozenset({3, 4, 7, 8, 9, 10, 14, 16})
+#: Row -> its CASE_ROWS key.
+ROW_KEYS: dict[int, tuple[bool, bool, str, str]] = {row: key for key, row in CASE_ROWS.items()}
 
 
 def case_row(phi_op: RelOp, cond_op: RelOp, dir1: Direction, dir2: Direction) -> int:
     """Case-table row for the syntactic case; total over all 36 combinations."""
-    key = CaseKey(phi_op.bounded_below, cond_op.bounded_below, _DIR_CODE[dir1], _DIR_CODE[dir2])
-    return _CASE_ROWS[key]
+    return CASE_ROWS[phi_op.bounded_below, cond_op.bounded_below, _DIR_CODE[dir1], _DIR_CODE[dir2]]
 
 
 # --- Non-termination formulas -----------------------------------------------
@@ -121,75 +105,74 @@ def case_row(phi_op: RelOp, cond_op: RelOp, dir1: Direction, dir2: Direction) ->
 # Conjunct tokens subject~relation (relation phi, B or !B), evaluated left
 # to right with short-circuiting so that every first-falsifier probe
 # psi(d) runs only after d's membership in the monotone branch's region
-# has been established.
+# has been established.  Rows that share a formula share an entry.
 
 _ROW_FORMULAS: dict[int, tuple[tuple[str, ...], ...]] = {
-    1: (("x0~phi", "b~phi"),),
-    5: (("x0~phi", "x0~!B", "b~phi", "b~!B"),),
-    7: (("x0~phi", "x0~B", "b~phi", "b~B"),),
-    9: (("x0~phi", "x0~!B"), ("x0~phi", "x0~B", "b~phi")),
-    11: (("x0~phi", "x0~B"), ("x0~phi", "x0~!B", "b~phi")),
-    13: (
-        ("x0~phi", "x0~!B", "b~phi", "b~!B"),
-        ("x0~phi", "x0~B", "psi(x0)~phi", "b~phi", "b~!B"),
-        ("x0~phi", "x0~B", "psi(x0)~phi", "b~phi", "b~B", "psi(b)~phi"),
-        ("x0~phi", "x0~!B", "b~phi", "b~B", "psi(b)~phi"),
-    ),
-    14: (
-        ("x0~phi", "x0~B", "b~phi", "b~B"),
-        ("x0~phi", "x0~!B", "psi(x0)~phi", "b~phi", "b~B"),
-        ("x0~phi", "x0~!B", "psi(x0)~phi", "b~phi", "b~!B", "psi(b)~phi"),
-        ("x0~phi", "x0~B", "b~phi", "b~!B", "psi(b)~phi"),
-    ),
-    15: (
-        ("x0~phi", "x0~!B", "b~phi", "b~!B"),
-        ("x0~phi", "x0~B", "psi(x0)~phi", "b~phi", "b~!B"),
-        ("x0~phi", "x0~B", "psi(x0)~phi", "b~phi", "b~B", "psi(b)~phi"),
-        ("x0~phi", "x0~!B", "b~phi", "b~B", "psi(b)~phi"),
-    ),
-    16: (
-        ("x0~phi", "x0~B", "b~phi", "b~B"),
-        ("x0~phi", "x0~!B", "psi(x0)~phi", "b~phi", "b~B"),
-        ("x0~phi", "x0~!B", "psi(x0)~phi", "b~phi", "b~!B", "psi(b)~phi"),
-        ("x0~phi", "x0~B", "b~phi", "b~!B", "psi(b)~phi"),
-    ),
-    17: (("x0~phi", "x0~B"),),
-    19: (("x0~phi", "x0~!B"),),
-    25: (
-        ("x0~phi", "x0~B", "b1~phi", "b1~B"),
-        ("x0~phi", "x0~!B", "b2~phi", "b2~!B"),
-        ("x0~phi", "b1~phi", "b2~phi"),
-    ),
+    row: disjuncts
+    for rows, disjuncts in (
+        ((1, 2, 3, 4), (("x0~phi", "b~phi"),)),
+        ((5, 6), (("x0~phi", "x0~!B", "b~phi", "b~!B"),)),
+        ((7, 8), (("x0~phi", "x0~B", "b~phi", "b~B"),)),
+        ((9, 10), (("x0~phi", "x0~!B"), ("x0~phi", "x0~B", "b~phi"))),
+        ((11, 12), (("x0~phi", "x0~B"), ("x0~phi", "x0~!B", "b~phi"))),
+        ((13, 15), (
+            ("x0~phi", "x0~!B", "b~phi", "b~!B"),
+            ("x0~phi", "x0~B", "psi(x0)~phi", "b~phi", "b~!B"),
+            ("x0~phi", "x0~B", "psi(x0)~phi", "b~phi", "b~B", "psi(b)~phi"),
+            ("x0~phi", "x0~!B", "b~phi", "b~B", "psi(b)~phi"),
+        )),
+        ((14, 16), (
+            ("x0~phi", "x0~B", "b~phi", "b~B"),
+            ("x0~phi", "x0~!B", "psi(x0)~phi", "b~phi", "b~B"),
+            ("x0~phi", "x0~!B", "psi(x0)~phi", "b~phi", "b~!B", "psi(b)~phi"),
+            ("x0~phi", "x0~B", "b~phi", "b~!B", "psi(b)~phi"),
+        )),
+        ((17, 18), (("x0~phi", "x0~B"),)),
+        ((19, 20), (("x0~phi", "x0~!B"),)),
+        ((25, 26, 27, 28), (
+            ("x0~phi", "x0~B", "b1~phi", "b1~B"),
+            ("x0~phi", "x0~!B", "b2~phi", "b2~!B"),
+            ("x0~phi", "b1~phi", "b2~phi"),
+        )),
+    )
+    for row in rows
 }
-# Rows sharing a formula with their printed group representative.
-for _src, _dsts in ((1, (2, 3, 4)), (5, (6,)), (7, (8,)), (9, (10,)), (11, (12,)),
-                    (17, (18,)), (19, (20,)), (25, (26, 27, 28))):
-    for _d in _dsts:
-        _ROW_FORMULAS[_d] = _ROW_FORMULAS[_src]
+
+
+def formula_applies(row: int, loop: MultiPathLoop, x0: int) -> bool:
+    """True when the row has a closed formula that may stand for the walk.
+
+    Every constant branch must be a direct assignment x := b, and where
+    one branch is constant, the monotone one re-entered at b must move the
+    way it moves at x0: its first differences at b and x0 share a sign.
+    """
+    if row not in _ROW_FORMULAS:
+        return False
+    _, _, dir1, dir2 = ROW_KEYS[row]
+    then_u, else_u = loop.then_update, loop.else_update
+    if (dir1 == "C" and then_u.coeff != 0) or (dir2 == "C" and else_u.coeff != 0):
+        return False
+    if (dir1 == "C") == (dir2 == "C"):  # no branch or both are constant
+        return True
+    const, mono = (then_u, else_u) if dir1 == "C" else (else_u, then_u)
+    return mono.first_difference(const.offset) * mono.first_difference(x0) > 0
 
 
 class _FormulaContext:
     def __init__(self, loop: MultiPathLoop, x0: int, row: int):
-        self.phi = loop.guard
-        self.cond = loop.branch_cond
+        self.phi, self.cond = loop.guard, loop.branch_cond
         self.bindings: dict[str, int] = {"x0": x0, "c": self.phi.bound, "c1": self.cond.bound}
-        if row in _CONST_THEN_ROWS:
-            self.const_upd, self.mono_upd = loop.then_update, loop.else_update
-            mono_region_op = self.cond.op.negated()
-        else:
-            self.const_upd, self.mono_upd = loop.else_update, loop.then_update
-            mono_region_op = self.cond.op
+        _, _, dir1, dir2 = ROW_KEYS[row]
+        const_then = dir1 == "C"
+        if const_then and dir2 == "C":
+            self.bindings.update(b1=loop.then_update.offset, b2=loop.else_update.offset)
+        elif const_then or dir2 == "C":
+            self.bindings["b"] = (loop.then_update if const_then else loop.else_update).offset
+        # psi probes run the monotone branch to the edge of its region
+        self.mono_upd = loop.else_update if const_then else loop.then_update
+        mono_region_op = self.cond.op.negated() if const_then else self.cond.op
         self.mono_upper = mono_region_op.bounded_above
         self.mono_limit = mono_region_op.limit(self.cond.bound)
-        if 25 <= row <= 28:
-            if loop.then_update.coeff != 0 or loop.else_update.coeff != 0:
-                raise AnalysisError("constant-pair formulas need direct assignments")
-            self.bindings["b1"] = loop.then_update.offset
-            self.bindings["b2"] = loop.else_update.offset
-        elif row not in (17, 18, 19, 20):
-            if self.const_upd.coeff != 0:
-                raise AnalysisError("this row's formula needs a direct constant assignment")
-            self.bindings["b"] = self.const_upd.offset
 
     def eval_token(self, token: str) -> tuple[str, bool]:
         """Evaluate ``subject~relation``: the subject is a binding or psi(binding),
@@ -212,9 +195,12 @@ def nt_formula(row: int, loop: MultiPathLoop, x0: int) -> tuple[bool, FormulaWit
 
     Returns (satisfied, witness); the witness lists the evaluated conjuncts
     of the deciding disjunct and the integer values they referenced.
+    Raises AnalysisError when formula_applies is false.
     """
     if row not in _ROW_FORMULAS:
         raise ValueError(f"row {row} is not decided by a closed formula")
+    if not formula_applies(row, loop, x0):
+        raise AnalysisError(f"row {row}'s formula does not apply to this loop at x0 = {x0}")
     ctx = _FormulaContext(loop, x0, row)
     failures: list[tuple[str, bool]] = []
     for index, disjunct in enumerate(_ROW_FORMULAS[row]):
@@ -415,23 +401,6 @@ def accelerated_walk(
 # --- Dispatch -----------------------------------------------------------------
 
 
-def _needs_walk(row: int, loop: MultiPathLoop, cls1: MonotoneClass, cls2: MonotoneClass) -> bool:
-    """True when a closed formula's branch-behaviour assumptions fail."""
-    if 25 <= row <= 28:
-        return loop.then_update.coeff != 0 or loop.else_update.coeff != 0
-    if not 1 <= row <= 16:
-        return False
-    if row in _CONST_THEN_ROWS:
-        const_upd, mono_upd, mono_cls = loop.then_update, loop.else_update, cls2
-    else:
-        const_upd, mono_upd, mono_cls = loop.else_update, loop.then_update, cls1
-    if const_upd.coeff != 0:
-        return True
-    if mono_cls.is_exponential:
-        return classify(mono_upd, const_upd.offset).direction is not mono_cls.direction
-    return False
-
-
 def decide_multipath(
     loop: MultiPathLoop, init: Env, walk_budget: int = SEARCH_BUDGET
 ) -> Verdict:
@@ -448,8 +417,7 @@ def decide_multipath(
     # fixed-point search: Algorithm 3 for rows 21-22, Algorithm 4 for rows 23-24
     procedure = "alg3" if 21 <= row <= 22 else "alg4" if 23 <= row <= 24 else None
     verdict = accelerated_walk(loop, x0, rule, procedure, walk_budget)
-    # rows 21-24 have no closed formula: every verdict there is the walk's own
-    if 21 <= row <= 24 or not isinstance(verdict, NonTerminating):
+    if not isinstance(verdict, NonTerminating):
         return verdict
     if row >= 29:
         # both branches move the same way; the branch condition is irrelevant
@@ -467,7 +435,9 @@ def decide_multipath(
                 bindings=(("x0", x0), ("c", phi.bound)),
             ),
         )
-    if _needs_walk(row, loop, cls1, cls2):
+    # rows 21-24 have no closed formula: there, and wherever a formula's
+    # assumptions fail, the walk's own witness stands
+    if not formula_applies(row, loop, x0):
         return verdict
     satisfied, witness = nt_formula(row, loop, x0)
     assert satisfied, f"formula and walk disagree on row {row}"

@@ -31,7 +31,7 @@ from monoterm import (
 from monoterm.cli import main
 from monoterm.gen import diagonal_for_pair, generate_corpus, multipath_for_row
 from monoterm.model import DiagonalLoop, MultiPathLoop
-from monoterm.multipath import _needs_walk, case_row
+from monoterm.multipath import case_row, formula_applies
 
 from conftest import brute_first_falsifier
 
@@ -176,7 +176,7 @@ def _is_search_instance(program) -> bool:
         cls1 = classify(shape.then_update, x0)
         cls2 = classify(shape.else_update, x0)
         row = case_row(shape.guard.op, shape.branch_cond.op, cls1.direction, cls2.direction)
-        return 21 <= row <= 24 or _needs_walk(row, shape, cls1, cls2)
+        return row <= 28 and not formula_applies(row, shape, x0)
     return False
 
 

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from monoterm import (
+    AnalysisError,
     CycleDetected,
     CycleWitness,
     Direction,
@@ -28,7 +29,7 @@ from monoterm import (
 from monoterm import multipath as multipath_module
 from monoterm.gen import multipath_for_row
 from monoterm.interpreter import step_values
-from monoterm.multipath import _rotation_cycle, accelerated_walk
+from monoterm.multipath import ROW_KEYS, _rotation_cycle, accelerated_walk, formula_applies
 from monoterm.parser import parse
 
 from conftest import NEG_FIXED_POINT, NEG_MOVING, multipath
@@ -36,12 +37,19 @@ from conftest import NEG_FIXED_POINT, NEG_MOVING, multipath
 
 def test_case_table_is_total_and_within_range():
     seen = set()
-    dirs = (Direction.UP, Direction.DOWN, Direction.FLAT)
-    for phi_op, cond_op, d1, d2 in itertools.product(RelOp, RelOp, dirs, dirs):
+    codes = {Direction.UP: "U", Direction.DOWN: "D", Direction.FLAT: "C"}
+    for phi_op, cond_op, d1, d2 in itertools.product(RelOp, RelOp, codes, codes):
         row = case_row(phi_op, cond_op, d1, d2)
         assert 1 <= row <= 36
+        assert ROW_KEYS[row] == (phi_op.bounded_below, cond_op.bounded_below, codes[d1], codes[d2])
         seen.add(row)
     assert seen == set(range(1, 37))
+    # ROW_KEYS inverts the table: each row's key, realized, lands on that row
+    op_for = {True: RelOp.GE, False: RelOp.LE}
+    dir_for = {code: d for d, code in codes.items()}
+    for row in range(1, 37):
+        phi_below, cond_below, c1, c2 = ROW_KEYS[row]
+        assert case_row(op_for[phi_below], op_for[cond_below], dir_for[c1], dir_for[c2]) == row
 
 
 def test_example1_row17(example1):
@@ -97,6 +105,32 @@ def test_nt_formula_row19():
     assert satisfied
     v = decide(program)
     assert isinstance(v, NonTerminating) and v.rule == "T3-row19"
+    assert agreement_check(program, v).ok
+
+
+@pytest.mark.parametrize(
+    "text, cycle",
+    [
+        # x := x + 0 classifies as constant from x0 but is no direct assignment
+        (
+            "init x = 0; while (x >= -10) { if (x <= 5) { x := x + 3; } else { x := x + 0; } }",
+            (6,),
+        ),
+        # 2*x + 4 moves up at x0 = 3 but is fixed at the reinjected b = -4
+        (
+            "init x = 3; while (x >= -10) { if (x <= 10) { x := 2 * x + 4; } else { x := -4; } }",
+            (-4,),
+        ),
+    ],
+)
+def test_row1_formula_does_not_apply_and_the_walk_witness_stands(text, cycle):
+    program = parse(text)
+    x0 = program.init["x"]
+    assert not formula_applies(1, program.shape, x0)
+    with pytest.raises(AnalysisError):
+        nt_formula(1, program.shape, x0)
+    v = decide(program)
+    assert v == NonTerminating("T3-row1", CycleWitness(cycle))
     assert agreement_check(program, v).ok
 
 
