@@ -2,7 +2,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import monoterm
-from monoterm import RelOp, Update
+from monoterm import DiagonalFreeGuard, DiagonalGuard, RelOp, Update
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
 relops = st.sampled_from(list(RelOp))
@@ -23,11 +23,21 @@ def test_star_import_resolves_every_export():
 
 
 @given(ints, ints, relops)
-def test_relop_negation_is_complement(value, bound, op):
-    negated = op.negated()
-    assert negated.negated() is op
-    assert negated.bounded_below == op.bounded_above
-    assert op.holds(value, bound) != negated.holds(value, bound)
+def test_guard_negation_is_complement(value, bound, op):
+    # The else branch of a condition `x op c` is the region where
+    # op.negated() holds; it must be the exact complement of the guard.
+    atom = DiagonalFreeGuard("x", op, bound)
+    negated = atom.op.negated()
+    assert negated.negated() is atom.op
+    assert negated.bounded_below == atom.op.bounded_above
+    assert atom.op.holds(value, atom.bound) != negated.holds(value, atom.bound)
+
+
+@given(ints, ints, ints, relops)
+def test_diagonal_negation_is_complement(x, y, bound, op):
+    atom = DiagonalGuard("x", "y", op, bound)
+    negated = atom.op.negated()
+    assert atom.op.holds(x - y, atom.bound) != negated.holds(x - y, atom.bound)
 
 
 @given(ints, ints, relops)
