@@ -8,14 +8,13 @@ A bounded concrete interpreter serves as the independent oracle.
 
 from .analyzer import decide
 from .classifier import classify
-from .diagonal import decide_diagonal_program, normalize_direction
+from .diagonal import decide_diagonal_program
 from .interpreter import (
     Agreement,
     BoundExhausted,
     CycleDetected,
     OracleResult,
     TerminatedIn,
-    TraceState,
     agreement_check,
     run,
 )
@@ -41,12 +40,7 @@ from .model import (
     Update,
     Verdict,
 )
-from .multipath import (
-    accelerated_walk,
-    case_row,
-    decide_multipath,
-    nt_formula,
-)
+from .multipath import accelerated_walk, decide_multipath, nt_formula
 from .parser import (
     LoopSyntaxError,
     MissingInitError,
@@ -55,7 +49,6 @@ from .parser import (
     parse,
     print_program,
 )
-from .psi import psi_a, psi_prime_a
 from .single import decide_single
 
 __all__ = [
@@ -70,10 +63,6 @@ __all__ = [
     "decide_multipath",
     "nt_formula",
     "accelerated_walk",
-    "case_row",
-    "normalize_direction",
-    "psi_a",
-    "psi_prime_a",
     "LoopProgram",
     "SinglePathLoop",
     "DiagonalLoop",
@@ -92,7 +81,6 @@ __all__ = [
     "FormulaWitness",
     "CycleWitness",
     "DivergenceWitness",
-    "TraceState",
     "TerminatedIn",
     "CycleDetected",
     "BoundExhausted",

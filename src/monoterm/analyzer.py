@@ -1,8 +1,7 @@
-"""Top-level decision entry point: classify the loop shape and dispatch."""
+"""Top-level decision entry point: dispatch on the loop shape."""
 
 from __future__ import annotations
 
-from .classifier import classify
 from .diagonal import decide_diagonal_program
 from .model import (
     SEARCH_BUDGET,
@@ -11,7 +10,6 @@ from .model import (
     MultiPathLoop,
     NonMonotoneUpdateError,
     SinglePathLoop,
-    Terminating,
     Unsupported,
     Verdict,
 )
@@ -25,11 +23,7 @@ def decide(program: LoopProgram, search_budget: int = SEARCH_BUDGET) -> Verdict:
     shape = program.shape
     try:
         if isinstance(shape, SinglePathLoop):
-            x0 = init[shape.guard.var]
-            if not shape.guard.op.holds(x0, shape.guard.bound):
-                return Terminating(0)
-            cls = classify(shape.update, x0)
-            return decide_single(shape.guard, cls, x0)
+            return decide_single(shape, init)
         if isinstance(shape, DiagonalLoop):
             return decide_diagonal_program(shape, init, search_budget)
         assert isinstance(shape, MultiPathLoop)

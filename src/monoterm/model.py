@@ -137,38 +137,13 @@ class ClassKind(Enum):
 class MonotoneClass:
     """Monotonicity class of an update relative to a start value.
 
-    ARITHMETIC: x := x + step (step != 0); GEOMETRIC: x := ratio * x
-    (ratio > 1, start != 0); AFFINE: x := ratio * x + step (ratio > 1,
-    step != 0, off the fixed point); CONSTANT: the orbit is the single
-    value ``pinned``.
+    ARITHMETIC: x := x + v (v != 0); GEOMETRIC: x := u * x (u > 1, start
+    != 0); AFFINE: x := u * x + v (u > 1, v != 0, off the fixed point);
+    CONSTANT: the orbit stays on update.apply(start) after at most one step.
     """
 
     kind: ClassKind
     direction: Direction
-    ratio: int | None = None
-    step: int | None = None
-    pinned: int | None = None
-
-    @property
-    def is_exponential(self) -> bool:
-        return self.kind in (ClassKind.GEOMETRIC, ClassKind.AFFINE)
-
-    @staticmethod
-    def constant(value: int) -> "MonotoneClass":
-        return MonotoneClass(ClassKind.CONSTANT, Direction.FLAT, pinned=value)
-
-    @staticmethod
-    def arithmetic(step: int) -> "MonotoneClass":
-        direction = Direction.UP if step > 0 else Direction.DOWN
-        return MonotoneClass(ClassKind.ARITHMETIC, direction, step=step)
-
-    @staticmethod
-    def geometric(ratio: int, direction: Direction) -> "MonotoneClass":
-        return MonotoneClass(ClassKind.GEOMETRIC, direction, ratio=ratio)
-
-    @staticmethod
-    def affine(ratio: int, step: int, direction: Direction) -> "MonotoneClass":
-        return MonotoneClass(ClassKind.AFFINE, direction, ratio=ratio, step=step)
 
 
 @dataclass(frozen=True)

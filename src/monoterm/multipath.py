@@ -197,8 +197,6 @@ def nt_formula(row: int, loop: MultiPathLoop, x0: int) -> tuple[bool, FormulaWit
     of the deciding disjunct and the integer values they referenced.
     Raises AnalysisError when formula_applies is false.
     """
-    if row not in _ROW_FORMULAS:
-        raise ValueError(f"row {row} is not decided by a closed formula")
     if not formula_applies(row, loop, x0):
         raise AnalysisError(f"row {row}'s formula does not apply to this loop at x0 = {x0}")
     ctx = _FormulaContext(loop, x0, row)

@@ -2,19 +2,20 @@
 
 A strictly monotone update either moves toward the guard's bound (the
 loop exits, and the exit step is computable) or away from it (the guard
-can never become false).  Constant orbits pin the value after one step.
+can never become false).  A constant orbit stays on the value after one
+step.
 """
 
 from __future__ import annotations
 
-from .classifier import class_update
+from .classifier import classify
 from .model import (
     CycleWitness,
-    DiagonalFreeGuard,
     Direction,
+    Env,
     FormulaWitness,
-    MonotoneClass,
     NonTerminating,
+    SinglePathLoop,
     Terminating,
     Verdict,
 )
@@ -24,28 +25,31 @@ RULE_LEMMA1 = "Lemma1"
 RULE_LEMMA1_CONST = "Lemma1-const"
 
 
-def decide_single(guard: DiagonalFreeGuard, cls: MonotoneClass, x0: int) -> Verdict:
-    """Decide termination of  while (x op c) { x := f(x); }  from x0."""
-    if not guard.op.holds(x0, guard.bound):
+def decide_single(loop: SinglePathLoop, init: Env) -> Verdict:
+    """Test the guard at iteration 0, classify the update, and decide
+    while (x op c) { x := f(x); }."""
+    guard, op = loop.guard, loop.guard.op
+    x0 = init[guard.var]
+    if not op.holds(x0, guard.bound):
         return Terminating(0)
-    if cls.direction is Direction.FLAT:
-        pinned = cls.pinned
-        if guard.op.holds(pinned, guard.bound):
+    direction = classify(loop.update, x0).direction
+    if direction is Direction.FLAT:
+        pinned = loop.update.apply(x0)
+        if op.holds(pinned, guard.bound):
             return NonTerminating(RULE_LEMMA1_CONST, CycleWitness((pinned,)))
         return Terminating(1)
-    exits = (guard.op.bounded_above and cls.direction is Direction.UP) or (
-        guard.op.bounded_below and cls.direction is Direction.DOWN
+    exits = (op.bounded_above and direction is Direction.UP) or (
+        op.bounded_below and direction is Direction.DOWN
     )
     if exits:
-        op = guard.op
-        _, steps = escape_region(x0, class_update(cls), op.bounded_above, op.limit(guard.bound))
+        _, steps = escape_region(x0, loop.update, op.bounded_above, op.limit(guard.bound))
         return Terminating(steps)
     return NonTerminating(
         RULE_LEMMA1,
         FormulaWitness(
             conjuncts=(
                 ("x0 satisfies guard", True),
-                (f"update direction {cls.direction.value} preserves {guard.op.value}", True),
+                (f"update direction {direction.value} preserves {op.value}", True),
             ),
             bindings=(("x0", x0), ("c", guard.bound)),
         ),

@@ -25,13 +25,12 @@ from monoterm import (
     classify,
     decide,
     parse,
-    psi_a,
-    psi_prime_a,
 )
 from monoterm.cli import main
 from monoterm.gen import diagonal_for_pair, generate_corpus, multipath_for_row
 from monoterm.model import DiagonalLoop, MultiPathLoop
 from monoterm.multipath import case_row, formula_applies
+from monoterm.psi import psi_a, psi_prime_a
 
 from conftest import brute_first_falsifier
 
@@ -168,7 +167,10 @@ def _is_search_instance(program) -> bool:
             and cls_x.kind is not ClassKind.CONSTANT
             and cls_y.kind is not ClassKind.CONSTANT
         )
-        return same_direction and (cls_x.is_exponential or cls_y.is_exponential)
+        return same_direction and (cls_x.kind, cls_y.kind) != (
+            ClassKind.ARITHMETIC,
+            ClassKind.ARITHMETIC,
+        )
     if isinstance(shape, MultiPathLoop):
         x0 = program.init["x"]
         if not shape.guard.op.holds(x0, shape.guard.bound):

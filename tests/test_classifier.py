@@ -22,12 +22,11 @@ def test_arithmetic_up():
     cls = classify(Update(1, 1), 15)
     assert cls.kind is ClassKind.ARITHMETIC
     assert cls.direction is Direction.UP
-    assert cls.step == 1
 
 
 def test_geometric_up():
     cls = classify(Update(2, 0), 3)
-    assert (cls.kind, cls.direction, cls.ratio) == (ClassKind.GEOMETRIC, Direction.UP, 2)
+    assert (cls.kind, cls.direction) == (ClassKind.GEOMETRIC, Direction.UP)
 
 
 def test_affine_down_from_negative_start():
@@ -40,11 +39,12 @@ def test_affine_down_from_negative_start():
 
 def test_identity_is_constant():
     cls = classify(Update(1, 0), 7)
-    assert (cls.kind, cls.direction, cls.pinned) == (ClassKind.CONSTANT, Direction.FLAT, 7)
+    assert (cls.kind, cls.direction) == (ClassKind.CONSTANT, Direction.FLAT)
 
 
 def test_direct_assignment_is_constant():
-    assert classify(Update(0, 9), 100).pinned == 9
+    cls = classify(Update(0, 9), 100)
+    assert (cls.kind, cls.direction) == (ClassKind.CONSTANT, Direction.FLAT)
 
 
 def test_geometric_from_zero_collapses_to_constant():
@@ -54,7 +54,7 @@ def test_geometric_from_zero_collapses_to_constant():
 def test_affine_fixed_point_collapses_to_constant():
     # x := 2x + 4 fixes -4
     cls = classify(Update(2, 4), -4)
-    assert (cls.kind, cls.pinned) == (ClassKind.CONSTANT, -4)
+    assert (cls.kind, cls.direction) == (ClassKind.CONSTANT, Direction.FLAT)
 
 
 def test_negative_coefficient_rejected():
@@ -93,9 +93,15 @@ def test_classifier_totality(u, v, x0):
     except NonMonotoneUpdateError:
         assert u < 0 and upd.first_difference(x0) != 0
         return
+    d = upd.first_difference(x0)
+    if cls.kind is ClassKind.CONSTANT:
+        assert (u == 0 or d == 0) and cls.direction is Direction.FLAT
+        return
+    assert cls.direction is (Direction.UP if d > 0 else Direction.DOWN)
     if cls.kind is ClassKind.ARITHMETIC:
-        assert cls.step != 0
+        assert u == 1 and v != 0
     elif cls.kind is ClassKind.GEOMETRIC:
-        assert cls.ratio > 1 and x0 != 0
-    elif cls.kind is ClassKind.AFFINE:
-        assert cls.ratio > 1 and cls.step != 0
+        assert u > 1 and v == 0 and x0 != 0
+    else:
+        assert cls.kind is ClassKind.AFFINE
+        assert u > 1 and v != 0

@@ -5,17 +5,16 @@ from monoterm import (
     DivergenceWitness,
     NonTerminating,
     RelOp,
+    SinglePathLoop,
     Terminating,
     Unsupported,
     Update,
     agreement_check,
-    classify,
     decide,
     decide_single,
-    normalize_direction,
     run,
 )
-from monoterm.classifier import class_update
+from monoterm.diagonal import normalize_direction
 from monoterm.gen import diagonal_for_pair
 from monoterm.model import ClassKind, DiagonalFreeGuard
 from monoterm.parser import parse
@@ -247,8 +246,7 @@ def test_both_arithmetic_matches_gap_reduction():
         program = diagonal(op, c, (1, v1), (1, v2), x0, y0)
         full = decide(program)
         gap_guard = DiagonalFreeGuard("g", program.shape.guard.op, c)
-        gap_cls = classify(Update(1, v1 - v2), x0 - y0)
-        reduced = decide_single(gap_guard, gap_cls, x0 - y0)
+        reduced = decide_single(SinglePathLoop(gap_guard, Update(1, v1 - v2)), {"g": x0 - y0})
         assert type(full) is type(reduced)
         if isinstance(full, Terminating):
             assert full.iterations == reduced.iterations

@@ -7,11 +7,62 @@ from monoterm import DiagonalFreeGuard, DiagonalGuard, RelOp, Update
 ints = st.integers(min_value=-10**6, max_value=10**6)
 relops = st.sampled_from(list(RelOp))
 
+PUBLIC_NAMES = [
+    "Agreement",
+    "AnalysisError",
+    "BoundExhausted",
+    "ClassKind",
+    "CycleDetected",
+    "CycleWitness",
+    "DiagonalFreeGuard",
+    "DiagonalGuard",
+    "DiagonalLoop",
+    "Direction",
+    "DivergenceWitness",
+    "FormulaWitness",
+    "LoopProgram",
+    "LoopSyntaxError",
+    "MissingInitError",
+    "MonotoneClass",
+    "MultiPathLoop",
+    "NonMonotoneUpdateError",
+    "NonTerminating",
+    "OracleResult",
+    "ParseError",
+    "RelOp",
+    "ShapeError",
+    "SinglePathLoop",
+    "TerminatedIn",
+    "Terminating",
+    "Unsupported",
+    "Update",
+    "Verdict",
+    "accelerated_walk",
+    "agreement_check",
+    "classify",
+    "decide",
+    "decide_diagonal_program",
+    "decide_multipath",
+    "decide_single",
+    "nt_formula",
+    "parse",
+    "print_program",
+    "run",
+]
+
 
 def test_apply_update_examples():
     assert Update(1, 2).apply(5) == 7
     assert Update(0, 9).apply(-100) == 9
     assert Update(2, 1).apply(3) == 7
+
+
+def test_all_lists_exactly_the_public_names_and_each_resolves():
+    # adding or dropping an export is a deliberate edit of PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 40
+    assert sorted(monoterm.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(monoterm, name) is not None, name
 
 
 def test_star_import_resolves_every_export():

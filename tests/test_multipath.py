@@ -15,11 +15,11 @@ from monoterm import (
     FormulaWitness,
     NonTerminating,
     RelOp,
+    SinglePathLoop,
     TerminatedIn,
     Terminating,
     Unsupported,
     agreement_check,
-    case_row,
     classify,
     decide,
     decide_single,
@@ -29,7 +29,13 @@ from monoterm import (
 from monoterm import multipath as multipath_module
 from monoterm.gen import multipath_for_row
 from monoterm.interpreter import step_values
-from monoterm.multipath import ROW_KEYS, _rotation_cycle, accelerated_walk, formula_applies
+from monoterm.multipath import (
+    ROW_KEYS,
+    _rotation_cycle,
+    accelerated_walk,
+    case_row,
+    formula_applies,
+)
 from monoterm.parser import parse
 
 from conftest import NEG_FIXED_POINT, NEG_MOVING, multipath
@@ -106,6 +112,15 @@ def test_nt_formula_row19():
     v = decide(program)
     assert isinstance(v, NonTerminating) and v.rule == "T3-row19"
     assert agreement_check(program, v).ok
+
+
+@pytest.mark.parametrize("row", [*range(21, 25), *range(29, 37)])
+def test_nt_formula_raises_analysis_error_on_rows_without_a_formula(row):
+    program = multipath_for_row(random.Random(row), row, 20)
+    x0 = program.init["x"]
+    assert not formula_applies(row, program.shape, x0)
+    with pytest.raises(AnalysisError):
+        nt_formula(row, program.shape, x0)
 
 
 @pytest.mark.parametrize(
@@ -201,10 +216,8 @@ def test_observation1_matches_single_path_reduction():
         x0 = program.init["x"]
         shape = program.shape
         full = decide(program)
-        cls1 = classify(shape.then_update, x0)
-        cls2 = classify(shape.else_update, x0)
-        for cls in (cls1, cls2):
-            reduced = decide_single(shape.guard, cls, x0)
+        for upd in (shape.then_update, shape.else_update):
+            reduced = decide_single(SinglePathLoop(shape.guard, upd), {"x": x0})
             assert isinstance(full, type(reduced))
         checked += 1
     assert checked == 1000

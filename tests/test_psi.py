@@ -3,8 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import brute_first_falsifier
-from monoterm import AnalysisError, RelOp, Update, psi_a, psi_prime_a
-from monoterm.psi import escape_region
+from monoterm import AnalysisError, RelOp, Update
+from monoterm.psi import escape_region, psi_a, psi_prime_a
 
 
 def escape(d, bound, op, upd):

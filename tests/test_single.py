@@ -5,11 +5,11 @@ from monoterm import (
     DiagonalFreeGuard,
     NonTerminating,
     RelOp,
+    SinglePathLoop,
     Terminating,
     Unsupported,
     Update,
     agreement_check,
-    classify,
     decide,
     decide_single,
 )
@@ -20,8 +20,7 @@ from conftest import NEG_SINGLE_GUARD_FALSE, single
 
 
 def _decide(op, c, upd, x0):
-    guard = DiagonalFreeGuard("x", op, c)
-    return decide_single(guard, classify(Update(*upd), x0), x0)
+    return decide_single(SinglePathLoop(DiagonalFreeGuard("x", op, c), Update(*upd)), {"x": x0})
 
 
 def test_lemma1_terminating_down_against_lower_bound():
@@ -47,12 +46,18 @@ def test_guard_false_before_negative_coefficient_is_classified():
 
 
 def test_constant_pinned_inside_guard_never_exits():
-    verdict = _decide(RelOp.LT, 100, (0, -3), 5)
-    assert isinstance(verdict, NonTerminating)
-    assert verdict.rule == "Lemma1-const"
-    assert verdict.witness == CycleWitness((-3,))
-    agreement = agreement_check(single("<", 100, (0, -3), 5), verdict, 1000)
-    assert agreement.ok
+    # the value a constant orbit stays on is the value after one step
+    for upd, x0 in (
+        ((0, -3), 5),  # x := b lands on b
+        ((1, 0), 7),  # x := x + 0 stays at x0
+        ((2, 4), -4),  # x := 2*x + 4 at its fixed point
+    ):
+        verdict = _decide(RelOp.LT, 100, upd, x0)
+        assert verdict == NonTerminating(
+            "Lemma1-const", CycleWitness((Update(*upd).apply(x0),))
+        ), (upd, x0)
+        agreement = agreement_check(single("<", 100, upd, x0), verdict, 1000)
+        assert agreement.ok, (upd, x0, agreement)
 
 
 def test_constant_pinned_outside_guard_exits_after_one_step():
