@@ -8,6 +8,7 @@ change to a digest below is a change to that format.
 import hashlib
 import json
 import random
+from functools import cache
 
 from monoterm import ClassKind, decide
 from monoterm.gen import diagonal_for_pair, multipath_for_row, random_diagonal, random_multipath
@@ -31,6 +32,10 @@ ALL_ROWS_SHA256 = "b3756267df6a69a924b3b9b9ef71d99fba8fe74d8307f3659e0e385f4e4c4
 RANDOM_MULTIPATH_SEEDS = range(3000)
 RANDOM_MULTIPATH_SHA256 = "b27e68c9a7c5a947134743e875e157574d6f56cbc39f8c722181c38230922557"
 
+# (verdict, rule, iterations) over the inputs of the four multipath pins
+# above: a witness may change its form, these may not.
+MULTIPATH_KEYS_SHA256 = "356edee96bd0515192b49a35c0dda14c012e7cf792b7a222a7a79a7f157b13fb"
+
 # Diagonal loops for every class pair at bounds 30 and 2000, and random
 # diagonal loops at bound 10**6: every diagonal rule, T2 rows 1-8 included.
 PAIR_SEEDS = range(200)
@@ -39,8 +44,8 @@ RANDOM_DIAGONAL_SEEDS = range(3000)
 RANDOM_DIAGONAL_SHA256 = "81da7d2f85596e1cff23366894e586030f64ed7d30ab576deba03e3814f074a2"
 
 
-def _decide(cases) -> list:
-    return [decide(multipath_for_row(random.Random(s), row, bound)) for s, row, bound in cases]
+def _decide(cases) -> tuple:
+    return tuple(decide(multipath_for_row(random.Random(s), row, bound)) for s, row, bound in cases)
 
 
 def _digest(verdicts) -> str:
@@ -51,30 +56,64 @@ def _digest(verdicts) -> str:
     return h.hexdigest()
 
 
+def _key_digest(verdicts) -> str:
+    h = hashlib.sha256()
+    for verdict in verdicts:
+        out = verdict.to_json()
+        h.update(json.dumps([out["verdict"], out["rule"], out.get("iterations")]).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+@cache
+def _bound_2000_verdicts() -> tuple:
+    return _decide([(seed, row, 2000) for seed in BOUND_2000_SEEDS for row in ROWS])
+
+
+@cache
+def _sparse_case_verdicts() -> tuple:
+    return _decide([(seed, row, 10**6) for seed, row in SPARSE_CASES])
+
+
+@cache
+def _all_row_verdicts() -> tuple:
+    return _decide(
+        [(seed, row, bound) for bound in (20, 2000, 10**12) for row in range(1, 37)
+         for seed in ALL_ROW_SEEDS]
+    )
+
+
+@cache
+def _random_multipath_verdicts() -> tuple:
+    return tuple(
+        decide(random_multipath(random.Random(seed), 2000)) for seed in RANDOM_MULTIPATH_SEEDS
+    )
+
+
 def test_bound_2000_walk_output_is_pinned():
-    verdicts = _decide([(seed, row, 2000) for seed in BOUND_2000_SEEDS for row in ROWS])
-    assert _digest(verdicts) == BOUND_2000_SHA256
+    assert _digest(_bound_2000_verdicts()) == BOUND_2000_SHA256
 
 
 def test_sparse_cycle_witnesses_are_pinned():
-    verdicts = _decide([(seed, row, 10**6) for seed, row in SPARSE_CASES])
+    verdicts = _sparse_case_verdicts()
     assert all(verdict.witness.sparse for verdict in verdicts)
     assert _digest(verdicts) == SPARSE_SHA256
 
 
 def test_all_rows_multipath_output_is_pinned():
-    verdicts = _decide(
-        [(seed, row, bound) for bound in (20, 2000, 10**12) for row in range(1, 37)
-         for seed in ALL_ROW_SEEDS]
-    )
-    assert _digest(verdicts) == ALL_ROWS_SHA256
+    assert _digest(_all_row_verdicts()) == ALL_ROWS_SHA256
 
 
 def test_random_multipath_output_is_pinned():
-    verdicts = [
-        decide(random_multipath(random.Random(seed), 2000)) for seed in RANDOM_MULTIPATH_SEEDS
-    ]
-    assert _digest(verdicts) == RANDOM_MULTIPATH_SHA256
+    assert _digest(_random_multipath_verdicts()) == RANDOM_MULTIPATH_SHA256
+
+
+def test_multipath_verdict_keys_are_pinned():
+    verdicts = (
+        _bound_2000_verdicts() + _sparse_case_verdicts() + _all_row_verdicts()
+        + _random_multipath_verdicts()
+    )
+    assert _key_digest(verdicts) == MULTIPATH_KEYS_SHA256
 
 
 def test_diagonal_class_pair_output_is_pinned():
