@@ -33,6 +33,7 @@ from .model import (
     MultiPathLoop,
     NonMonotoneUpdateError,
     NonTerminating,
+    RecurrentWitness,
     RelOp,
     SinglePathLoop,
     Terminating,
@@ -81,6 +82,7 @@ __all__ = [
     "FormulaWitness",
     "CycleWitness",
     "DivergenceWitness",
+    "RecurrentWitness",
     "TerminatedIn",
     "CycleDetected",
     "BoundExhausted",

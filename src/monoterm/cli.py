@@ -56,41 +56,6 @@ def _max_steps(flag: str | None) -> int:
     return value
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _json_indent2(value, pad: str = "\n") -> str:
-    """`json.dumps(value, indent=2)`, byte for byte, for values with str keys.
-
-    `json` runs its C encoder only when `indent` is None; this keeps the
-    indented layout while strings and lists of plain ints are joined in C.
-    """
-    if isinstance(value, str):
-        return _encode_str(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = pad + "  "
-        items = (_encode_str(k) + ": " + _json_indent2(v, inner) for k, v in value.items())
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = pad + "  "
-        if all(type(v) is int for v in value):
-            items = map(int.__repr__, value)
-        else:
-            items = (_json_indent2(v, inner) for v in value)
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return json.dumps(value)
-
-
 def _internal_error(err: Exception) -> str:
     return f"internal: {type(err).__name__}: {err}"
 
@@ -164,7 +129,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: {_internal_error(err)}", file=sys.stderr)
         return 4
     if args.format == "json":
-        print(_json_indent2(record))
+        print(json.dumps(record, indent=2))
     else:
         _print_text(record)
     return _exit_code(record["verdict"])
@@ -204,7 +169,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     exit_code = 4 if internal else 0
     if args.format == "json":
         errors_json = [{"file": str(path), "error": message} for path, message in errors]
-        print(_json_indent2(records + errors_json))
+        print(json.dumps(records + errors_json, indent=2))
         return exit_code
     name_width = max([len(p.name) for p in files], default=4)
     header = f"{'file':<{name_width}}  {'verdict':<3}  {'rule':<14}  {'ms':>10}"

@@ -261,7 +261,30 @@ class DivergenceWitness:
         return out
 
 
-Witness = Union[FormulaWitness, CycleWitness, DivergenceWitness]
+@dataclass(frozen=True)
+class RecurrentWitness:
+    """A recurrent interval: the loop body maps `interval` = [lo, hi] into
+    itself, the guard holds on all of it, and the orbit enters it at
+    `entry` after `iteration` iterations, so it never leaves."""
+
+    interval: tuple[int, int]
+    entry: int
+    iteration: int
+    procedure: str | None = None
+
+    def to_json(self) -> dict:
+        out = {
+            "kind": "recurrent",
+            "interval": list(self.interval),
+            "entry": self.entry,
+            "iteration": self.iteration,
+        }
+        if self.procedure:
+            out["procedure"] = self.procedure
+        return out
+
+
+Witness = Union[FormulaWitness, CycleWitness, DivergenceWitness, RecurrentWitness]
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,11 @@ the monotone branch re-entered at b moves the way it moves at x0
 (x := 2*x increases positive values and decreases negative ones).
 Elsewhere, and on the alternating rows 21-24, the walk's witness stands.
 
+At the second switch value the walk tries one O(1) certificate, a
+recurrent interval: an interval inside the guard that the loop body maps
+into itself and that the orbit has entered.  It decides most
+non-terminating alternations however long their cycle.
+
 The walk first turns the guard and the branch condition into inclusive
 integer limits (RelOp.limit) and each branch into a (coeff, offset, side,
 limit) tuple, so that every jump is plain integer comparisons and
@@ -26,8 +31,6 @@ arithmetic.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 from .classifier import classify
 from .model import (
@@ -40,6 +43,7 @@ from .model import (
     FormulaWitness,
     MultiPathLoop,
     NonTerminating,
+    RecurrentWitness,
     RelOp,
     Terminating,
     Unsupported,
@@ -48,6 +52,9 @@ from .model import (
 from .psi import escape_region
 
 _CYCLE_EXPANSION_CAP = 50_000
+# A recurrent interval of at most this many integers is walked instead: the
+# orbit stays in it, so its cycle closes within that many jumps.
+_WALKED_INTERVAL = 64
 
 _DIR_CODE = {Direction.UP: "U", Direction.DOWN: "D", Direction.FLAT: "C"}
 
@@ -255,51 +262,34 @@ def _cycle_witness(
     return CycleWitness(tuple(values), procedure)
 
 
-def _rotation_cycle(
-    branches: tuple[_Branch, _Branch],
-    x0: int,
-    v1: int,
-    phi_upper: bool,
-    phi_limit: int,
-    max_jumps: int,
-) -> tuple[int, ...] | None:
-    """The walk's cycle in closed form when both branches are arithmetic
-    and each moves toward its own limit, or None to keep walking.
+def _recurrent_interval(
+    branches: tuple[_Branch, _Branch], v1: int, phi_upper: bool, phi_limit: int
+) -> tuple[int, int] | None:
+    """An interval [lo, hi] that holds v1, lies inside the guard and is
+    mapped into itself by the loop body, or None.
 
-    With x := x + A on x <= U and x := x - B on x >= U+1, the second
-    switch value v1 lies in the window [U+1-B, U+A], where the loop is a
-    rotation by A modulo m = A+B whose orbit is v1's residue class mod
-    g = gcd(A, B), P = m // g values.  The loop cycles exactly when the
-    class's extreme value facing the guard's limit satisfies the guard;
-    otherwise the walk finds the exit.  The cycle starts at the first of
-    x0 (if in the window), v1 and the end of v1's run that begins a run,
-    and the walk would reach it in 2*min(A, B)//g jumps plus its index:
-    past max_jumps, or past the expansion cap, the walk decides instead.
+    Let the low branch x := a*x + b fire on x <= U and the high branch
+    x := c*x + d on x >= U+1.  When a, c >= 1, the low branch moves up at
+    lo and at U and the high branch moves down at U+1 and at hi, the
+    interval I = [lo, hi] = [f_high(U+1), f_low(U)] is closed: each branch
+    is nondecreasing, so it maps its part of I between the images of the
+    part's ends, and those first differences keep both images inside I.
+    A recurrent set in the sense of Gupta et al., "Proving
+    non-termination", POPL 2008.
     """
-    (a1, off1, up1, lim1), (a2, off2, _, lim2) = branches
-    if a1 != 1 or a2 != 1:
+    low, high = branches if branches[0][2] else branches[::-1]
+    (a, b, _, u), (c, d, _, _) = low, high
+    if a < 1 or c < 1:
         return None
-    A, B, U = (off1, -off2, lim1) if up1 else (off2, -off1, lim2)
-    if A <= 0 or B <= 0:
+    lo, hi = c * (u + 1) + d, a * u + b
+    up = min((a - 1) * lo + b, (a - 1) * u + b) > 0
+    down = max((c - 1) * (u + 1) + d, (c - 1) * hi + d) < 0
+    if not (up and down and lo <= v1 <= hi):
         return None
-    lo, hi, m, g = U + 1 - B, U + A, A + B, gcd(A, B)
-    period = m // g
-    if period > _CYCLE_EXPANSION_CAP:
+    # the guard is a half-line: it holds on all of I when it holds at I's far end
+    if not (hi <= phi_limit if phi_upper else lo >= phi_limit):
         return None
-    if hi - (hi - v1) % g > phi_limit if phi_upper else lo + (v1 - lo) % g < phi_limit:
-        return None
-    if v1 <= U:
-        v2 = v1 + ((U - v1) // A + 1) * A
-    else:
-        v2 = v1 - ((v1 - U - 1) // B + 1) * B
-    # x begins a run when its rotation predecessor lies in the other branch
-    index, start = next(
-        (i, x) for i, x in enumerate((x0, v1, v2))
-        if (i or lo <= x0 <= hi) and (x <= U) == (x - A < lo)
-    )
-    if 2 * min(A, B) // g + index > max_jumps:
-        return None
-    return tuple(map(lo.__add__, map(m.__rmod__, range(start - lo, start - lo + period * A, A))))
+    return lo, hi
 
 
 def accelerated_walk(
@@ -311,7 +301,7 @@ def accelerated_walk(
     trace: list[int] | None = None,
 ) -> Verdict:
     """Walk branch-switch values, deciding by guard exit, value recurrence,
-    or a trapped orbit.
+    a trapped orbit, or a recurrent interval.
 
     Each jump covers one maximal run of a single branch: a monotone run is
     collapsed to its first value outside the branch's region (with exact
@@ -320,6 +310,8 @@ def accelerated_walk(
     freezes the guard truth forever (non-terminating) or marches
     monotonically through the guard bound (terminating).  A negative
     coefficient that moves the value is non-monotone and unsupported.
+    At the second switch value the walk tries _recurrent_interval once and
+    stops there when the interval holds more than _WALKED_INTERVAL values.
     """
     phi, cond = loop.guard, loop.branch_cond
     phi_upper, phi_limit = phi.op.bounded_above, phi.op.limit(phi.bound)
@@ -333,7 +325,6 @@ def accelerated_walk(
     )
     steps_at: dict[int, int] = {}  # switch value -> steps taken to reach it, in walk order
     val, steps = x0, 0
-    rotation = True  # try _rotation_cycle once, at the second switch value
     for _ in range(max_jumps):
         if trace is not None:
             trace.append(val)
@@ -368,13 +359,14 @@ def accelerated_walk(
                     cycle = path[path.index(nxt):]
                     period = steps - steps_at[nxt]
                     return NonTerminating(rule, _cycle_witness(branches, cycle, period, procedure))
-                if rotation:
-                    rotation = False
-                    values = _rotation_cycle(branches, x0, nxt, phi_upper, phi_limit, max_jumps)
-                    if values:
+                if len(steps_at) == 1:  # nxt is the second switch value
+                    interval = _recurrent_interval(branches, nxt, phi_upper, phi_limit)
+                    if interval and interval[1] - interval[0] >= _WALKED_INTERVAL:
                         if trace is not None:
                             trace.append(nxt)
-                        return NonTerminating(rule, CycleWitness(values, procedure))
+                        return NonTerminating(
+                            rule, RecurrentWitness(interval, nxt, steps, procedure)
+                        )
                 val = nxt
                 continue
             if a == 0:

@@ -1,16 +1,54 @@
 import json
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from jsonschema import validate
 
-from monoterm.cli import _json_indent2, _summary_counts, main
+from monoterm import RecurrentWitness, decide, parse
+from monoterm.cli import _summary_counts, main
 
 from conftest import NEG_FIXED_POINT, NEG_MOVING
 
 EXAMPLE1 = "init x = 15; while (x >= 5) { if (x >= 10) { x := x + 1; } else { x := x - 1; } }\n"
 EXAMPLE2 = "init x = 3; while (x <= 10) { if (x <= 5) { x := x + 2; } else { x := x - 3; } }\n"
+# The body maps [-199, 300] into itself, and the orbit 0, 300, 100, -100, 200
+# enters it at 300 after one iteration.
+RECURRENT = (
+    "init x = 0; while (x <= 1000) { if (x <= 0) { x := x + 300; } else { x := x - 200; } }\n"
+)
+
+INT = {"type": "integer"}
+# Each witness kind with its own required fields.
+WITNESS_FIELDS = {
+    "formula": {
+        "disjunct": INT,
+        "conjuncts": {"type": "array", "items": {"type": "array", "minItems": 2, "maxItems": 2}},
+        "bindings": {"type": "object", "additionalProperties": INT},
+    },
+    "cycle": {"cycle": {"type": "array", "minItems": 1}},
+    "divergence": {"iteration": {"type": "integer", "minimum": 0}, "condition": {"type": "string"}},
+    "recurrent": {
+        "interval": {"type": "array", "items": INT, "minItems": 2, "maxItems": 2},
+        "entry": INT,
+        "iteration": {"type": "integer", "minimum": 0},
+    },
+}
+WITNESS_SCHEMA = {
+    "oneOf": [{"type": "null"}]
+    + [
+        {
+            "type": "object",
+            "properties": {
+                "kind": {"const": kind},
+                "procedure": {"enum": ["alg3", "alg4"]},
+                "period": {"type": "integer", "minimum": 1},
+                "sparse": {"const": True},
+                **fields,
+            },
+            "required": ["kind", *fields],
+        }
+        for kind, fields in WITNESS_FIELDS.items()
+    ]
+}
 
 VERDICT_SCHEMA = {
     "type": "object",
@@ -18,7 +56,7 @@ VERDICT_SCHEMA = {
         "file": {"type": "string"},
         "verdict": {"enum": ["terminating", "nonterminating", "unsupported"]},
         "rule": {"type": ["string", "null"]},
-        "witness": {"type": ["object", "null"]},
+        "witness": WITNESS_SCHEMA,
         "iterations": {"type": "integer", "minimum": 0},
         "reason": {"type": "string"},
         "code": {"enum": ["budget", "non-monotone"]},
@@ -64,6 +102,22 @@ def test_analyze_json_cycle_witness(capsys, loop_file):
     validate(record, VERDICT_SCHEMA)
     assert record["witness"]["cycle"] == [3, 5, 7, 4, 6]
     assert record["oracle"]["agrees"] is True
+
+
+def test_analyze_json_recurrent_witness(capsys, loop_file):
+    path = loop_file("recurrent.loop", RECURRENT)
+    exit_code = main(["analyze", str(path), "--format", "json", "--oracle-check"])
+    record = json.loads(capsys.readouterr().out)
+    assert exit_code == 1
+    validate(record, VERDICT_SCHEMA)
+    assert record["witness"] == {
+        "kind": "recurrent", "interval": [-199, 300], "entry": 300, "iteration": 1,
+        "procedure": "alg3",
+    }
+    assert record["oracle"] == {"outcome": "cycle", "steps": 5, "agrees": True}
+    # the certificate needs only the one jump that reaches its entry
+    verdict = decide(parse(RECURRENT), search_budget=1)
+    assert verdict.witness == RecurrentWitness((-199, 300), 300, 1, "alg3")
 
 
 def test_analyze_terminating_exit_code(capsys, loop_file):
@@ -117,10 +171,11 @@ def test_summary_counts_timeouts_by_reason_code():
 def test_bench_json_is_schema_valid_array(capsys, tmp_path, loop_file):
     loop_file("a.loop", EXAMPLE1)
     loop_file("b.loop", EXAMPLE2)
+    loop_file("c.loop", RECURRENT)
     exit_code = main(["bench", str(tmp_path), "--format", "json"])
     records = json.loads(capsys.readouterr().out)
     assert exit_code == 0
-    assert isinstance(records, list) and len(records) == 2
+    assert isinstance(records, list) and len(records) == 3
     for record in records:
         validate(record, VERDICT_SCHEMA)
 
@@ -276,34 +331,6 @@ def test_bad_step_budget_is_an_input_error(capsys, loop_file, monkeypatch, argv_
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
-
-
-json_strings = st.text(st.characters() | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fé€😀'))
-json_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(-(10**400), 10**400)
-    | st.floats(allow_nan=False, allow_infinity=False)
-    | json_strings
-)
-# lists of plain ints take their own path; bools and None inside one must not
-int_items = st.integers(-(10**30), 10**30) | st.booleans() | st.none()
-int_lists = st.lists(int_items) | st.lists(int_items).map(tuple)
-json_values = st.recursive(
-    json_scalars | int_lists,
-    lambda children: (
-        st.lists(children)
-        | st.lists(children).map(tuple)
-        | st.dictionaries(json_strings, children)
-    ),
-    max_leaves=40,
-)
-
-
-@given(json_values)
-def test_json_writer_matches_json_dumps_indent2(value):
-    assert _json_indent2(value) == json.dumps(value, indent=2)
 
 
 def test_bench_json_is_json_dumps_indent2(capsys, tmp_path, loop_file):

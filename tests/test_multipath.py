@@ -1,9 +1,8 @@
 import itertools
-import json
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from monoterm import (
@@ -14,6 +13,7 @@ from monoterm import (
     DivergenceWitness,
     FormulaWitness,
     NonTerminating,
+    RecurrentWitness,
     RelOp,
     SinglePathLoop,
     TerminatedIn,
@@ -31,7 +31,6 @@ from monoterm.gen import multipath_for_row
 from monoterm.interpreter import step_values
 from monoterm.multipath import (
     ROW_KEYS,
-    _rotation_cycle,
     accelerated_walk,
     case_row,
     formula_applies,
@@ -327,14 +326,15 @@ def test_all_rows_agree_with_the_oracle_on_loops_that_enter_their_body():
             assert agreement.ok, (row, program, verdict, agreement)
 
 
-# --- Closed-form rotation for two arithmetic branches ---------------------
+# --- Alternating branches: the walk and the recurrent interval -----------
 
 
 def test_example2_rotation_decides_at_the_second_switch_value(example2):
+    # I = [3, 7] is recurrent but holds only 5 values: the walk closes the cycle
     trace: list[int] = []
     v = accelerated_walk(example2.shape, 3, "T3-row21", "alg3", trace=trace)
     assert v == NonTerminating("T3-row21", CycleWitness((3, 5, 7, 4, 6), procedure="alg3"))
-    assert trace == [3, 7]  # the walk alone takes four jumps
+    assert trace == [3, 7, 4, 6]
 
 
 @pytest.mark.parametrize(
@@ -348,6 +348,8 @@ def test_example2_rotation_decides_at_the_second_switch_value(example2):
     ],
 )
 def test_rotation_checks_only_the_residue_class_of_v1(program, rule, cycle):
+    # the guard cuts the window, so no interval is certified; the walk
+    # visits v1's class only and closes the cycle at the second switch value
     trace: list[int] = []
     v = accelerated_walk(program.shape, program.init["x"], rule, trace=trace)
     assert v == NonTerminating(rule, CycleWitness(cycle))
@@ -355,51 +357,71 @@ def test_rotation_checks_only_the_residue_class_of_v1(program, rule, cycle):
     assert decide(program).witness.values == cycle
 
 
-def _verdict_json(verdict) -> str:
-    return json.dumps(verdict.to_json(), sort_keys=True)
+def _verdict_key(verdict) -> tuple:
+    out = verdict.to_json()
+    return out["verdict"], out["rule"], out.get("iterations")
+
+
+def _interval_is_recurrent(program, witness) -> bool:
+    """Check a recurrent witness from the loop alone: the orbit reaches the
+    entry at the stated iteration, the entry lies in I, the guard holds at
+    both ends of I, and each branch maps its part of I into I.  An affine
+    map sends an interval's ends to its image's ends, so the ends suffice."""
+    shape = program.shape
+    guard, cond = shape.guard, shape.branch_cond
+    lo, hi = witness.interval
+    x = program.init["x"]
+    for _ in range(witness.iteration):
+        x = step_values(program, (x,))[0]
+    if not (x == witness.entry and lo <= x <= hi):
+        return False
+    if not (guard.op.holds(lo, guard.bound) and guard.op.holds(hi, guard.bound)):
+        return False
+    limit = cond.op.limit(cond.bound)
+    then_u, else_u = shape.then_update, shape.else_update
+    if cond.op.bounded_above:
+        parts = (lo, min(hi, limit), then_u), (max(lo, limit + 1), hi, else_u)
+    else:
+        parts = (max(lo, limit), hi, then_u), (lo, min(hi, limit - 1), else_u)
+    return all(
+        lo <= update.apply(end) <= hi
+        for first, last, update in parts
+        if first <= last
+        for end in (first, last)
+    )
 
 
 @st.composite
-def arithmetic_alternation_programs(draw):
-    """Both branches x := x + offset, under every operator pair."""
-    ops = st.sampled_from(["<", "<=", ">", ">="])
-    consts, offsets = st.integers(-60, 60), st.integers(-25, 25)
+def alternation_programs(draw):
+    """Both branches x := a*x + b with a in 1..3, under every operator pair."""
+    ops, consts = st.sampled_from(["<", "<=", ">", ">="]), st.integers(-60, 60)
+    coeffs, offsets = st.integers(1, 3), st.integers(-25, 25)
     return multipath(
         draw(ops), draw(consts), draw(ops), draw(consts),
-        (1, draw(offsets)), (1, draw(offsets)), draw(consts),
+        (draw(coeffs), draw(offsets)), (draw(coeffs), draw(offsets)), draw(consts),
     )
 
 
 @settings(max_examples=500, deadline=None)
-@given(arithmetic_alternation_programs())
-def test_rotation_closed_form_matches_the_walk(program):
-    """Verdict JSON with and without the closed form agrees at small budgets,
-    at the walk's own jump count J and J-1, and at the default budget."""
+@given(alternation_programs())
+# the guard cuts I = [6, 90] at 60: the orbit 20, 60, 35, 10, 30 exits at 90
+@example(multipath("<=", 60, "<=", 30, (3, 0), (1, -25), 20))
+def test_recurrent_interval_matches_the_walk(program):
+    """With the certificate off, then on, at the default budget: the same
+    verdict keys, every witness that differs is a recurrent interval that
+    passes an independent check, and the oracle agrees."""
     guard = program.shape.guard
     assume(guard.op.holds(program.init["x"], guard.bound))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(multipath_module, "_rotation_cycle", lambda *args: None)
-        trace: list[int] = []
-        accelerated_walk(program.shape, program.init["x"], "", trace=trace)
-        budgets = {1, 2, 3, 4, 5, max(len(trace) - 1, 1), len(trace), 10**6}
-        walked = {budget: _verdict_json(decide(program, budget)) for budget in budgets}
-    emitted: list[tuple[int, ...]] = []
-
-    def spy(*args):
-        values = _rotation_cycle(*args)
-        emitted.extend([values] if values else [])
-        return values
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(multipath_module, "_rotation_cycle", spy)
-        for budget in sorted(budgets):
-            assert _verdict_json(decide(program, budget)) == walked[budget], (program, budget)
-    for values in emitted:
-        verdict = NonTerminating("", CycleWitness(values))
-        agreement = agreement_check(program, verdict)
-        assert isinstance(agreement.oracle, CycleDetected), (program, agreement)
-        assert agreement.oracle.period == len(values)
-        assert _replays(program, verdict.witness), (program, values)
+        mp.setattr(multipath_module, "_recurrent_interval", lambda *args: None)
+        walked = decide(program)
+    certified = decide(program)
+    assert _verdict_key(certified) == _verdict_key(walked), program
+    if certified != walked:
+        assert isinstance(certified.witness, RecurrentWitness), (program, certified)
+        assert _interval_is_recurrent(program, certified.witness), (program, certified)
+    if not isinstance(certified, Unsupported):
+        assert agreement_check(program, certified).ok, (program, certified)
 
 
 # --- Negative coefficients and the random differential --------------------
@@ -456,3 +478,5 @@ def test_random_multipath_differential(program):
     if isinstance(verdict, NonTerminating) and isinstance(verdict.witness, CycleWitness):
         assert not verdict.witness.sparse
         assert _replays(program, verdict.witness), (program, verdict)
+    if isinstance(verdict, NonTerminating) and isinstance(verdict.witness, RecurrentWitness):
+        assert _interval_is_recurrent(program, verdict.witness), (program, verdict)
