@@ -10,27 +10,36 @@ import json
 import random
 from functools import cache
 
-from monoterm import ClassKind, decide
+from monoterm import ClassKind, RecurrentWitness, decide, parse
 from monoterm.gen import diagonal_for_pair, multipath_for_row, random_diagonal, random_multipath
 
 ROWS = (21, 22, 23, 24)
 
-# 600 loops at bound 2000: terminating runs, trapped divergences and
-# full cycles of up to a few thousand values.
+# 600 loops at bound 2000: terminating runs, trapped divergences, full
+# cycles of up to a few thousand values and recurrent intervals.
 BOUND_2000_SEEDS = range(150)
-BOUND_2000_SHA256 = "ce2cc3bf38f6f5dd36bb37c2103cfbe516748a7fccdf96fb8ef6dc4afcf4c3e3"
+BOUND_2000_SHA256 = "4f84093cf6cc4e3991aee34745525a8ed891c70a95c7f5c68697b7f327a64c63"
 
-# (seed, row) at bound 10**6 whose cycles exceed the expansion cap, so the
-# witness falls back to the sparse list of branch-switch values.
+# (seed, row) at bound 10**6 whose cycles exceed the expansion cap.  Each
+# orbit enters a recurrent interval inside the guard, which is the witness.
 SPARSE_CASES = ((6, 22), (94, 21), (163, 23), (275, 22), (276, 23), (369, 21))
-SPARSE_SHA256 = "66e2ad048c3c61b5bb3a4a62e3d58a3b651a568f60fa39842a21105ce9261712"
+SPARSE_CASES_SHA256 = "b31a4fa015d04afbce3ac3d84aa3ee80fb09bba390f49f52eb211e64f76080e8"
+
+# The guard cuts the interval [-99998, 100003] at 100002, but not the
+# orbit's residue class mod gcd(100002, 100000) = 2: the walk closes a
+# 100,001-value cycle, above the expansion cap, and lists its switch values.
+SPARSE_LOOP = (
+    "init x = 0; while (x <= 100002) "
+    "{ if (x <= 1) { x := x + 100002; } else { x := x - 100000; } }"
+)
+SPARSE_SHA256 = "4508f3f4a086f962fdb6e3aebaa67e64bfd5472940bbbd5cf627cee4a78427d2"
 
 # Loops for every Table 3 row at bounds 20, 2000 and 10**12, and random
 # multipath loops at bound 2000: every multipath exit, formula rows included.
 ALL_ROW_SEEDS = range(100)
-ALL_ROWS_SHA256 = "b3756267df6a69a924b3b9b9ef71d99fba8fe74d8307f3659e0e385f4e4c42ae"
+ALL_ROWS_SHA256 = "092b6789a3e7509f10722de3788f1a9f582d13c35255159a7f6576daa9230d0c"
 RANDOM_MULTIPATH_SEEDS = range(3000)
-RANDOM_MULTIPATH_SHA256 = "b27e68c9a7c5a947134743e875e157574d6f56cbc39f8c722181c38230922557"
+RANDOM_MULTIPATH_SHA256 = "c0176c53d911d909aedd256d00542292af928b87bcb87bad7d2a87f64869ab28"
 
 # (verdict, rule, iterations) over the inputs of the four multipath pins
 # above: a witness may change its form, these may not.
@@ -94,10 +103,16 @@ def test_bound_2000_walk_output_is_pinned():
     assert _digest(_bound_2000_verdicts()) == BOUND_2000_SHA256
 
 
-def test_sparse_cycle_witnesses_are_pinned():
+def test_long_cycles_inside_the_guard_give_recurrent_intervals():
     verdicts = _sparse_case_verdicts()
-    assert all(verdict.witness.sparse for verdict in verdicts)
-    assert _digest(verdicts) == SPARSE_SHA256
+    assert all(isinstance(verdict.witness, RecurrentWitness) for verdict in verdicts)
+    assert _digest(verdicts) == SPARSE_CASES_SHA256
+
+
+def test_sparse_cycle_witnesses_are_pinned():
+    verdict = decide(parse(SPARSE_LOOP))
+    assert verdict.witness.sparse and len(verdict.witness.values) == 100_000
+    assert _digest([verdict]) == SPARSE_SHA256
 
 
 def test_all_rows_multipath_output_is_pinned():
