@@ -349,7 +349,7 @@ def test_example2_rotation_decides_at_the_second_switch_value(example2):
 )
 def test_rotation_checks_only_the_residue_class_of_v1(program, rule, cycle):
     # the guard cuts the window, so no interval is certified; the walk
-    # visits v1's class only and closes the cycle at the second switch value
+    # visits v1's class only and closes the cycle in two jumps
     trace: list[int] = []
     v = accelerated_walk(program.shape, program.init["x"], rule, trace=trace)
     assert v == NonTerminating(rule, CycleWitness(cycle))
