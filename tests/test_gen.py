@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from monoterm.gen import (
 )
 from monoterm.model import DiagonalLoop, MultiPathLoop, SinglePathLoop
 from monoterm.multipath import case_row
+from monoterm.parser import print_program
 
 
 def test_corpus_is_deterministic():
@@ -83,3 +85,51 @@ def test_generated_corpus_decides_cleanly():
     for _, text in generate_corpus(23, 80, bound=15):
         verdict = decide(parse(text))
         assert not isinstance(verdict, Unsupported)
+
+
+# The generator's bytes are part of every recorded corpus: a seed must keep
+# producing the same files.  A change to a digest below is a change to every
+# corpus built from that seed.
+CORPUS_SHA256 = "eb6d6f53568fae017f434cd06f9240f17d9db4fee3bbb44e58d2c38d26bc36d8"
+ROW_INSTANCES_SHA256 = "63553d6544246c5adb16c552eb0052b5476109a2aa31aabec32d112b6eb940d5"
+PAIR_INSTANCES_SHA256 = "a45d70804bb9b7da4a09533d0b4071408ad8a91af956aae01f2cf3369e6f4355"
+
+
+def _text_digest(texts) -> str:
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_corpus_bytes_are_pinned():
+    texts = []
+    for shape in ("single", "diagonal", "multipath", "mix"):
+        for cover_rows in (False, True) if shape in ("multipath", "mix") else (False,):
+            for bound in (1, 20, 2000, 10**6):
+                for seed in range(3):
+                    for name, text in generate_corpus(seed, 50, shape, bound, cover_rows):
+                        texts += [name, text]
+    assert _text_digest(texts) == CORPUS_SHA256
+
+
+def test_row_instance_bytes_are_pinned():
+    texts = [
+        print_program(multipath_for_row(random.Random(seed), row, bound))
+        for bound in (1, 20, 10**12)
+        for row in range(1, 37)
+        for seed in range(20)
+    ]
+    assert _text_digest(texts) == ROW_INSTANCES_SHA256
+
+
+def test_class_pair_instance_bytes_are_pinned():
+    texts = [
+        print_program(diagonal_for_pair(random.Random(seed), kind_x, kind_y, bound))
+        for bound in (1, 20, 2000, 10**6)
+        for kind_x in ClassKind
+        for kind_y in ClassKind
+        for seed in range(20)
+    ]
+    assert _text_digest(texts) == PAIR_INSTANCES_SHA256
