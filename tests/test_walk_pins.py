@@ -1,7 +1,8 @@
-"""Byte pins for the multipath decider (all 36 rows) and the diagonal decider.
+"""Byte pins for the multipath decider (all 36 rows), the diagonal decider
+and the single-path decider.
 
 Their verdicts, iteration counts and witnesses are part of the output
-format: any rewrite of either must reproduce them byte for byte.  A
+format: any rewrite of one must reproduce them byte for byte.  A
 change to a digest below is a change to that format.
 """
 
@@ -11,7 +12,13 @@ import random
 from functools import cache
 
 from monoterm import ClassKind, RecurrentWitness, decide, parse
-from monoterm.gen import diagonal_for_pair, multipath_for_row, random_diagonal, random_multipath
+from monoterm.gen import (
+    diagonal_for_pair,
+    multipath_for_row,
+    random_diagonal,
+    random_multipath,
+    random_single,
+)
 
 ROWS = (21, 22, 23, 24)
 
@@ -51,6 +58,10 @@ PAIR_SEEDS = range(200)
 PAIR_SHA256 = "28c13f677858ff68ac0e088ee6d4a230679c8302fa13e01740a19d20952b8e8f"
 RANDOM_DIAGONAL_SEEDS = range(3000)
 RANDOM_DIAGONAL_SHA256 = "81da7d2f85596e1cff23366894e586030f64ed7d30ab576deba03e3814f074a2"
+
+# Random single-path loops at bounds 20 and 10**6: every single-path rule.
+RANDOM_SINGLE_SEEDS = range(3000)
+RANDOM_SINGLE_SHA256 = "77a3d069036066951eacdaf4e4243d1704e7cdd61c4ba4054eade63583620c43"
 
 
 def _decide(cases) -> tuple:
@@ -147,3 +158,12 @@ def test_random_diagonal_output_is_pinned():
         decide(random_diagonal(random.Random(seed), 10**6)) for seed in RANDOM_DIAGONAL_SEEDS
     ]
     assert _digest(verdicts) == RANDOM_DIAGONAL_SHA256
+
+
+def test_random_single_output_is_pinned():
+    verdicts = [
+        decide(random_single(random.Random(seed), bound))
+        for bound in (20, 10**6)
+        for seed in RANDOM_SINGLE_SEEDS
+    ]
+    assert _digest(verdicts) == RANDOM_SINGLE_SHA256
