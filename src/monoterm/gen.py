@@ -2,10 +2,13 @@
 
 Everything is driven by a single random.Random(seed), so a seed fully
 determines the emitted files byte for byte.  Targeted constructors
-exist for every multipath table row and every diagonal class pair;
-they draw candidates and verify the classification, falling back to
-arithmetic updates (whose direction is choosable outright) so that
-every target is always reachable.
+exist for every multipath table row and every diagonal class pair.
+A row instance is built by construction from the row's key: operators
+on the key's bound sides, and updates drawn until one has the key's
+direction, falling back to an arithmetic update (whose direction is
+choosable outright).  Only class-pair instances are verified: a draw
+can classify as constant (a geometric update at 0, an affine one at
+its fixed point) and is then drawn again.
 """
 
 from __future__ import annotations
@@ -21,12 +24,11 @@ from .model import (
     Direction,
     LoopProgram,
     MultiPathLoop,
-    NonMonotoneUpdateError,
     RelOp,
     SinglePathLoop,
     Update,
 )
-from .multipath import ROW_KEYS, case_row
+from .multipath import ROW_KEYS
 from .parser import print_program
 
 SHAPES = ("single", "diagonal", "multipath")
@@ -65,23 +67,16 @@ def _classifiable_update(rng: random.Random, bound: int) -> Update:
     return Update(rng.choice(_RATIOS), _nonzero(rng, _step_bound(bound)))
 
 
-def _directed_update(rng: random.Random, direction: str, x0: int, bound: int) -> Update:
-    """An update classifying as U/D/C from x0.  Always succeeds."""
-    if direction == "C":
+def _directed_update(rng: random.Random, want: Direction, x0: int, bound: int) -> Update:
+    """An update whose direction from x0 is the wanted one.  Always succeeds."""
+    if want is Direction.FLAT:
         return Update(0, _int(rng, bound))
-    want = Direction.UP if direction == "U" else Direction.DOWN
     for _ in range(64):
         upd = _classifiable_update(rng, bound)
-        if upd.coeff == 0:
-            continue
-        try:
-            cls = classify(upd, x0)
-        except NonMonotoneUpdateError:
-            continue
-        if cls.direction is want:
+        if upd.coeff != 0 and classify(upd, x0).direction is want:
             return upd
     step = rng.randint(1, max(1, _step_bound(bound) // 2))
-    return Update(1, step if direction == "U" else -step)
+    return Update(1, step if want is Direction.UP else -step)
 
 
 def random_single(rng: random.Random, bound: int) -> LoopProgram:
@@ -115,25 +110,16 @@ def random_program(rng: random.Random, shape: str, bound: int) -> LoopProgram:
 
 
 def multipath_for_row(rng: random.Random, row: int, bound: int) -> LoopProgram:
-    """A multipath program whose case key lands exactly on the given row."""
+    """A multipath program that lands on the given row by construction."""
     phi_below, cond_below, dir1, dir2 = ROW_KEYS[row]
-    for _ in range(256):
-        phi_op = rng.choice(_BELOW_OPS if phi_below else _ABOVE_OPS)
-        cond_op = rng.choice(_BELOW_OPS if cond_below else _ABOVE_OPS)
-        guard = DiagonalFreeGuard("x", phi_op, _int(rng, bound))
-        cond = DiagonalFreeGuard("x", cond_op, _int(rng, bound))
-        x0 = _int(rng, bound)
-        then_upd = _directed_update(rng, dir1, x0, bound)
-        else_upd = _directed_update(rng, dir2, x0, bound)
-        program = LoopProgram(MultiPathLoop(guard, cond, then_upd, else_upd), {"x": x0})
-        try:
-            cls1 = classify(then_upd, x0)
-            cls2 = classify(else_upd, x0)
-        except NonMonotoneUpdateError:
-            continue
-        if case_row(phi_op, cond_op, cls1.direction, cls2.direction) == row:
-            return program
-    raise AssertionError(f"could not construct an instance for row {row}")
+    phi_op = rng.choice(_BELOW_OPS if phi_below else _ABOVE_OPS)
+    cond_op = rng.choice(_BELOW_OPS if cond_below else _ABOVE_OPS)
+    guard = DiagonalFreeGuard("x", phi_op, _int(rng, bound))
+    cond = DiagonalFreeGuard("x", cond_op, _int(rng, bound))
+    x0 = _int(rng, bound)
+    then_upd = _directed_update(rng, dir1, x0, bound)
+    else_upd = _directed_update(rng, dir2, x0, bound)
+    return LoopProgram(MultiPathLoop(guard, cond, then_upd, else_upd), {"x": x0})
 
 
 def diagonal_for_pair(
@@ -153,10 +139,7 @@ def diagonal_for_pair(
     for _ in range(256):
         x0, y0 = _int(rng, bound), _int(rng, bound)
         upd_x, upd_y = candidate(kind_x), candidate(kind_y)
-        try:
-            if classify(upd_x, x0).kind is not kind_x or classify(upd_y, y0).kind is not kind_y:
-                continue
-        except NonMonotoneUpdateError:
+        if classify(upd_x, x0).kind is not kind_x or classify(upd_y, y0).kind is not kind_y:
             continue
         guard = DiagonalGuard("x", "y", rng.choice(_BELOW_OPS + _ABOVE_OPS), _int(rng, bound))
         return LoopProgram(DiagonalLoop(guard, upd_x, upd_y), {"x": x0, "y": y0})

@@ -8,8 +8,8 @@ with a first-falsifier computation and detects repeated switch values.
 It evaluates branch directions at every value it actually visits.
 
 Table 3, stated once as CASE_ROWS, maps the key (guard bounded below,
-branch condition bounded below, then- and else-direction at x0: U, D or
-C for constant) to the row that names the rule and explains a
+branch condition bounded below, then- and else-Direction at x0, written
+U, D or C for constant) to the row that names the rule and explains a
 non-terminating walk; ROW_KEYS is its inverse.  Rows 29-36 report the
 branches' shared direction; rows with a closed formula report its
 conjuncts, which must hold.  One predicate, formula_applies, says when a
@@ -56,55 +56,57 @@ _CYCLE_EXPANSION_CAP = 50_000
 # orbit stays in it, so its cycle closes within that many jumps.
 _WALKED_INTERVAL = 64
 
-_DIR_CODE = {Direction.UP: "U", Direction.DOWN: "D", Direction.FLAT: "C"}
+_U, _D, _C = Direction.UP, Direction.DOWN, Direction.FLAT
 
 #: Table 3: (guard bounded below, condition bounded below, then-direction,
 #: else-direction) -> row.
-CASE_ROWS: dict[tuple[bool, bool, str, str], int] = {
-    (True, False, "U", "C"): 1,
-    (False, True, "D", "C"): 2,
-    (True, True, "C", "U"): 3,
-    (False, False, "C", "D"): 4,
-    (True, False, "D", "C"): 5,
-    (False, True, "U", "C"): 6,
-    (True, True, "C", "D"): 7,
-    (False, False, "C", "U"): 8,
-    (True, False, "C", "U"): 9,
-    (False, True, "C", "D"): 10,
-    (False, False, "D", "C"): 11,
-    (True, True, "U", "C"): 12,
-    (False, False, "U", "C"): 13,
-    (False, True, "C", "U"): 14,
-    (True, True, "D", "C"): 15,
-    (True, False, "C", "D"): 16,
-    (True, True, "U", "D"): 17,
-    (False, False, "D", "U"): 18,
-    (False, True, "U", "D"): 19,
-    (True, False, "D", "U"): 20,
-    (False, False, "U", "D"): 21,
-    (False, True, "D", "U"): 22,
-    (True, False, "U", "D"): 23,
-    (True, True, "D", "U"): 24,
-    (True, True, "C", "C"): 25,
-    (True, False, "C", "C"): 26,
-    (False, True, "C", "C"): 27,
-    (False, False, "C", "C"): 28,
-    (True, True, "U", "U"): 29,
-    (True, False, "U", "U"): 30,
-    (False, True, "U", "U"): 31,
-    (False, False, "U", "U"): 32,
-    (True, True, "D", "D"): 33,
-    (True, False, "D", "D"): 34,
-    (False, True, "D", "D"): 35,
-    (False, False, "D", "D"): 36,
+CASE_ROWS: dict[tuple[bool, bool, Direction, Direction], int] = {
+    (True, False, _U, _C): 1,
+    (False, True, _D, _C): 2,
+    (True, True, _C, _U): 3,
+    (False, False, _C, _D): 4,
+    (True, False, _D, _C): 5,
+    (False, True, _U, _C): 6,
+    (True, True, _C, _D): 7,
+    (False, False, _C, _U): 8,
+    (True, False, _C, _U): 9,
+    (False, True, _C, _D): 10,
+    (False, False, _D, _C): 11,
+    (True, True, _U, _C): 12,
+    (False, False, _U, _C): 13,
+    (False, True, _C, _U): 14,
+    (True, True, _D, _C): 15,
+    (True, False, _C, _D): 16,
+    (True, True, _U, _D): 17,
+    (False, False, _D, _U): 18,
+    (False, True, _U, _D): 19,
+    (True, False, _D, _U): 20,
+    (False, False, _U, _D): 21,
+    (False, True, _D, _U): 22,
+    (True, False, _U, _D): 23,
+    (True, True, _D, _U): 24,
+    (True, True, _C, _C): 25,
+    (True, False, _C, _C): 26,
+    (False, True, _C, _C): 27,
+    (False, False, _C, _C): 28,
+    (True, True, _U, _U): 29,
+    (True, False, _U, _U): 30,
+    (False, True, _U, _U): 31,
+    (False, False, _U, _U): 32,
+    (True, True, _D, _D): 33,
+    (True, False, _D, _D): 34,
+    (False, True, _D, _D): 35,
+    (False, False, _D, _D): 36,
 }
 #: Row -> its CASE_ROWS key.
-ROW_KEYS: dict[int, tuple[bool, bool, str, str]] = {row: key for key, row in CASE_ROWS.items()}
+ROW_KEYS: dict[int, tuple[bool, bool, Direction, Direction]] = {
+    row: key for key, row in CASE_ROWS.items()
+}
 
 
 def case_row(phi_op: RelOp, cond_op: RelOp, dir1: Direction, dir2: Direction) -> int:
     """Case-table row for the syntactic case; total over all 36 combinations."""
-    return CASE_ROWS[phi_op.bounded_below, cond_op.bounded_below, _DIR_CODE[dir1], _DIR_CODE[dir2]]
+    return CASE_ROWS[phi_op.bounded_below, cond_op.bounded_below, dir1, dir2]
 
 
 # --- Non-termination formulas -----------------------------------------------
@@ -157,11 +159,12 @@ def formula_applies(row: int, loop: MultiPathLoop, x0: int) -> bool:
         return False
     _, _, dir1, dir2 = ROW_KEYS[row]
     then_u, else_u = loop.then_update, loop.else_update
-    if (dir1 == "C" and then_u.coeff != 0) or (dir2 == "C" and else_u.coeff != 0):
+    const_then, const_else = dir1 is Direction.FLAT, dir2 is Direction.FLAT
+    if (const_then and then_u.coeff != 0) or (const_else and else_u.coeff != 0):
         return False
-    if (dir1 == "C") == (dir2 == "C"):  # no branch or both are constant
+    if const_then == const_else:  # no branch or both are constant
         return True
-    const, mono = (then_u, else_u) if dir1 == "C" else (else_u, then_u)
+    const, mono = (then_u, else_u) if const_then else (else_u, then_u)
     return mono.first_difference(const.offset) * mono.first_difference(x0) > 0
 
 
@@ -170,10 +173,10 @@ class _FormulaContext:
         self.phi, self.cond = loop.guard, loop.branch_cond
         self.bindings: dict[str, int] = {"x0": x0, "c": self.phi.bound, "c1": self.cond.bound}
         _, _, dir1, dir2 = ROW_KEYS[row]
-        const_then = dir1 == "C"
-        if const_then and dir2 == "C":
+        const_then = dir1 is Direction.FLAT
+        if const_then and dir2 is Direction.FLAT:
             self.bindings.update(b1=loop.then_update.offset, b2=loop.else_update.offset)
-        elif const_then or dir2 == "C":
+        elif const_then or dir2 is Direction.FLAT:
             self.bindings["b"] = (loop.then_update if const_then else loop.else_update).offset
         # psi probes run the monotone branch to the edge of its region
         self.mono_upd = loop.else_update if const_then else loop.then_update

@@ -42,19 +42,17 @@ from conftest import NEG_FIXED_POINT, NEG_MOVING, multipath
 
 def test_case_table_is_total_and_within_range():
     seen = set()
-    codes = {Direction.UP: "U", Direction.DOWN: "D", Direction.FLAT: "C"}
-    for phi_op, cond_op, d1, d2 in itertools.product(RelOp, RelOp, codes, codes):
+    for phi_op, cond_op, d1, d2 in itertools.product(RelOp, RelOp, Direction, Direction):
         row = case_row(phi_op, cond_op, d1, d2)
         assert 1 <= row <= 36
-        assert ROW_KEYS[row] == (phi_op.bounded_below, cond_op.bounded_below, codes[d1], codes[d2])
+        assert ROW_KEYS[row] == (phi_op.bounded_below, cond_op.bounded_below, d1, d2)
         seen.add(row)
     assert seen == set(range(1, 37))
     # ROW_KEYS inverts the table: each row's key, realized, lands on that row
     op_for = {True: RelOp.GE, False: RelOp.LE}
-    dir_for = {code: d for d, code in codes.items()}
     for row in range(1, 37):
-        phi_below, cond_below, c1, c2 = ROW_KEYS[row]
-        assert case_row(op_for[phi_below], op_for[cond_below], dir_for[c1], dir_for[c2]) == row
+        phi_below, cond_below, d1, d2 = ROW_KEYS[row]
+        assert case_row(op_for[phi_below], op_for[cond_below], d1, d2) == row
 
 
 def test_example1_row17(example1):
