@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -34,25 +33,20 @@ from .interpreter import (
 from .model import Unsupported
 from .parser import ParseError, parse
 
-MAX_STEPS_ENV = "MONOTERM_MAX_STEPS"
-
 
 def _max_steps(flag: str | None) -> int:
-    """The oracle's step budget: --max-steps, else $MONOTERM_MAX_STEPS, else the default.
+    """The oracle's step budget: --max-steps, else the default.
 
     Raises ValueError with a one-line message unless it is an integer >= 1.
     """
-    source, text = "--max-steps", flag
-    if text is None:
-        source, text = MAX_STEPS_ENV, os.environ.get(MAX_STEPS_ENV)
-        if not text:
-            return DEFAULT_MAX_STEPS
+    if flag is None:
+        return DEFAULT_MAX_STEPS
     try:
-        value = int(text)
+        value = int(flag)
     except ValueError:
-        raise ValueError(f"{source} must be an integer, got {text!r}") from None
+        raise ValueError(f"--max-steps must be an integer, got {flag!r}") from None
     if value < 1:
-        raise ValueError(f"{source} must be at least 1, got {value}")
+        raise ValueError(f"--max-steps must be at least 1, got {value}")
     return value
 
 
