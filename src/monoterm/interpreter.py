@@ -9,8 +9,7 @@ cycle are therefore replayable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .model import (
     DiagonalLoop,
@@ -26,25 +25,21 @@ DEFAULT_MAX_STEPS = 10**6
 DIVERGENCE_WINDOW = 100
 
 
-@dataclass(frozen=True)
-class TraceState:
+class TraceState(NamedTuple):
     values: tuple[int, ...]
     step: int
 
 
-@dataclass(frozen=True)
-class TerminatedIn:
+class TerminatedIn(NamedTuple):
     steps: int
 
 
-@dataclass(frozen=True)
-class CycleDetected:
+class CycleDetected(NamedTuple):
     entry: TraceState
     period: int
 
 
-@dataclass(frozen=True)
-class BoundExhausted:
+class BoundExhausted(NamedTuple):
     last: TraceState
     steps: int
     monotone_escape: bool = False
@@ -166,8 +161,7 @@ def _run_pair(x, y, sign, low, lhs, rhs, max_steps, window) -> OracleResult:
             )
 
 
-@dataclass(frozen=True)
-class Agreement:
+class Agreement(NamedTuple):
     ok: bool
     note: str | None
     oracle: OracleResult

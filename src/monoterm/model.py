@@ -2,15 +2,15 @@
 
 All arithmetic is exact (Python ints); geometric and affine update
 sequences outgrow any fixed-width integer within a few dozen steps, so
-nothing here may truncate or wrap.
+nothing here may truncate or wrap.  The value types are immutable NamedTuples:
+as tuples they equal any tuple with the same fields, so compare only like types.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import NamedTuple, Union
 
 
 class AnalysisError(Exception):
@@ -68,8 +68,7 @@ _NEGATION = {RelOp.LT: RelOp.GE, RelOp.LE: RelOp.GT, RelOp.GT: RelOp.LE, RelOp.G
 _MIRROR = {RelOp.LT: RelOp.GT, RelOp.LE: RelOp.GE, RelOp.GT: RelOp.LT, RelOp.GE: RelOp.LE}
 
 
-@dataclass(frozen=True)
-class DiagonalFreeGuard:
+class DiagonalFreeGuard(NamedTuple):
     """Comparison of a single variable with a constant: var op bound."""
 
     var: str
@@ -80,8 +79,7 @@ class DiagonalFreeGuard:
         return f"{self.var} {self.op.value} {self.bound}"
 
 
-@dataclass(frozen=True)
-class DiagonalGuard:
+class DiagonalGuard(NamedTuple):
     """Comparison of a variable difference with a constant: lhs - rhs op bound."""
 
     lhs: str
@@ -100,8 +98,7 @@ Env = dict[str, int]
 SEARCH_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class Update:
+class Update(NamedTuple):
     """Canonical affine update x := coeff * x + offset.
 
     Every surface form maps to exactly one (coeff, offset) pair:
@@ -133,8 +130,7 @@ class ClassKind(Enum):
     AFFINE = "affine"
 
 
-@dataclass(frozen=True)
-class MonotoneClass:
+class MonotoneClass(NamedTuple):
     """Monotonicity class of an update relative to a start value.
 
     ARITHMETIC: x := x + v (v != 0); GEOMETRIC: x := u * x (u > 1, start
@@ -146,16 +142,14 @@ class MonotoneClass:
     direction: Direction
 
 
-@dataclass(frozen=True)
-class SinglePathLoop:
+class SinglePathLoop(NamedTuple):
     """while (x op c) { x := f(x); }"""
 
     guard: DiagonalFreeGuard
     update: Update
 
 
-@dataclass(frozen=True)
-class DiagonalLoop:
+class DiagonalLoop(NamedTuple):
     """while (x - y op c) { x := f1(x); y := f2(y); }"""
 
     guard: DiagonalGuard
@@ -163,8 +157,7 @@ class DiagonalLoop:
     rhs_update: Update
 
 
-@dataclass(frozen=True)
-class MultiPathLoop:
+class MultiPathLoop(NamedTuple):
     """while (x op c) { if (x op' c1) { x := f1(x); } else { x := f2(x); } }"""
 
     guard: DiagonalFreeGuard
@@ -176,8 +169,7 @@ class MultiPathLoop:
 LoopShape = Union[SinglePathLoop, DiagonalLoop, MultiPathLoop]
 
 
-@dataclass(frozen=True)
-class LoopProgram:
+class LoopProgram(NamedTuple):
     shape: LoopShape
     init: Env
 
@@ -198,8 +190,7 @@ class LoopProgram:
 # --- Verdicts and witnesses -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormulaWitness:
+class FormulaWitness(NamedTuple):
     """A satisfied (or refuted) rule formula: the conjunct truth values
     of the deciding disjunct, plus the integer values it mentioned."""
 
@@ -216,8 +207,7 @@ class FormulaWitness:
         }
 
 
-@dataclass(frozen=True)
-class CycleWitness:
+class CycleWitness(NamedTuple):
     """A recurring state: replaying the loop from values[0] returns there.
 
     A sparse witness lists only the branch-switch values of the cycle
@@ -245,8 +235,7 @@ class CycleWitness:
         return out
 
 
-@dataclass(frozen=True)
-class DivergenceWitness:
+class DivergenceWitness(NamedTuple):
     """A certified divergence point: at `iteration` the named stopping
     condition holds and keeps holding forever."""
 
@@ -261,8 +250,7 @@ class DivergenceWitness:
         return out
 
 
-@dataclass(frozen=True)
-class RecurrentWitness:
+class RecurrentWitness(NamedTuple):
     """A recurrent interval: the loop body maps `interval` = [lo, hi] into
     itself, the guard holds on all of it, and the orbit enters it at
     `entry` after `iteration` iterations, so it never leaves."""
@@ -287,8 +275,7 @@ class RecurrentWitness:
 Witness = Union[FormulaWitness, CycleWitness, DivergenceWitness, RecurrentWitness]
 
 
-@dataclass(frozen=True)
-class Terminating:
+class Terminating(NamedTuple):
     iterations: int | None = None
 
     def to_json(self) -> dict:
@@ -298,8 +285,7 @@ class Terminating:
         return out
 
 
-@dataclass(frozen=True)
-class NonTerminating:
+class NonTerminating(NamedTuple):
     rule: str
     witness: Witness
 
@@ -311,8 +297,7 @@ class NonTerminating:
         }
 
 
-@dataclass(frozen=True)
-class Unsupported:
+class Unsupported(NamedTuple):
     """Undecided: ``code`` is ``"budget"`` when a walk or search ran out of
     its budget, ``"non-monotone"`` when an update alternates direction."""
 

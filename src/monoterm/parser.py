@@ -19,12 +19,20 @@ One body statement makes a single-path loop, two make a diagonal loop
 (the guard must match), an if/else makes a multipath loop.  Anything
 syntactically valid but outside those three shapes is a ShapeError,
 never a silent reinterpretation.
+
+Tokenizing is one `findall` pass of `_TOKEN_RE`, which yields plain token
+strings; the parser compares strings and keeps only an index into them.
+When it raises, it scans the text again with the same regular expression
+to find the (line, col) of the offending token.  A character that starts
+no token is reported before any other error, as if tokenizing came first.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Iterator
+from itertools import islice
 
 from .model import (
     DiagonalFreeGuard,
@@ -62,100 +70,109 @@ class MissingInitError(ParseError):
 
 
 _KEYWORDS = {"init", "while", "if", "else"}
-# One alternative per token class, tried in order at each position.  `int`
-# is decimal digits only, so a word never starts with one; a word that starts
-# with another numeric character ('²', '½') is rejected in _tokenize.
-# Whitespace is ' ', tab and CR only: any other character, '\v' included,
-# falls through to `bad`.
-_TOKEN_RE = re.compile(
-    r"(?P<space>[ \t\r]+)|(?P<newline>\n)|(?P<comment>#[^\n]*)|(?P<int>\d+)|(?P<word>\w+)"
-    r"|(?P<punct><=|>=|:=|[<>=;(){}+*-])|(?P<bad>.)"
-)
+_PUNCT = {"<=", ">=", ":=", "<", ">", "=", ";", "(", ")", "{", "}", "+", "*", "-"}
+_RELOPS = {op.value: op for op in RelOp}
+# One findall() pass is the whole tokenizer: whitespace and comments match with
+# group 1 empty, and each token is group 1.  `int` is decimal digits only, so a
+# word never starts with one; a word that starts with another numeric character
+# ('²', '½') is rejected by _check_tokens.  Whitespace is ' ', tab, CR and LF
+# only: any other character, '\v' included, matches `.` and is rejected there.
+_TOKEN_RE = re.compile(r"[ \t\r\n]+|#[^\n]*|(\d+|\w+|<=|>=|:=|[<>=;(){}+*-]|.)")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    """(kind, text, line, col) per token, ending in an 'eof' token; kind is
-    'ident', 'int', 'eof', or the punctuation/keyword itself."""
-    tokens = []
+def _is_ident(tok: str) -> bool:
+    """A \\w run that starts with a letter or '_' and is not a keyword."""
+    first = tok[:1]
+    return (first.isalpha() or first == "_") and tok not in _KEYWORDS
+
+
+def _scan(text: str) -> Iterator[tuple[str, int, int]]:
+    """(token, line, col) per token, then ('', line, col) for the end of input.
+
+    Only error reporting calls this; the end of input of a text that ends in a
+    comment is located at the comment's '#'.
+    """
     line, line_start = 1, 0  # line_start: offset of the current line's first character
-    end_col = None  # eof column when the text ends in a comment: the '#'
+    end_col = None
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "space":
+        tok, start = m.group(1), m.start()
+        if tok:
+            yield tok, line, start - line_start + 1
             continue
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
+        skipped = m.group()
+        if skipped[0] == "#":
+            end_col = start - line_start + 1
+        elif "\n" in skipped:
+            line += skipped.count("\n")
+            line_start = start + skipped.rindex("\n") + 1
             end_col = None
-            continue
-        col = m.start() - line_start + 1
-        if kind == "punct":
-            word = m.group()
-            tokens.append((word, word, line, col))
-        elif kind == "word":
-            word = m.group()
-            first = word[0]
-            if not (first.isalpha() or first == "_"):
-                raise LoopSyntaxError(line, col, "a token", repr(first))
-            tokens.append((word if word in _KEYWORDS else "ident", word, line, col))
-        elif kind == "int":
-            tokens.append(("int", m.group(), line, col))
-        elif kind == "comment":
-            end_col = col
-        else:
-            raise LoopSyntaxError(line, col, "a token", repr(m.group()))
-    if end_col is None:
-        end_col = len(text) - line_start + 1
-    tokens.append(("eof", "", line, end_col))
-    return tokens
+    yield "", line, len(text) - line_start + 1 if end_col is None else end_col
+
+
+def _check_tokens(text: str) -> None:
+    """Raise LoopSyntaxError at the first character of text that starts no token."""
+    for tok, line, col in _scan(text):
+        valid = _is_ident(tok) or tok in _KEYWORDS or tok in _PUNCT or tok[:1].isdecimal()
+        if tok and not valid:
+            raise LoopSyntaxError(line, col, "a token", repr(tok[0]))
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int, int]]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = [*filter(None, _TOKEN_RE.findall(text)), ""]  # "": end of input
         self.pos = 0
 
-    def peek(self) -> tuple[str, str, int, int]:
-        return self.tokens[self.pos]
+    def error(self, expected: str, found: str | None = None) -> LoopSyntaxError:
+        """A syntax error at the next token, located by scanning the text again."""
+        if found is None:
+            tok = self.tokens[self.pos]
+            found = f"'{tok}'" if tok else "end of input"
+        _, line, col = next(islice(_scan(self.text), self.pos, None))
+        return LoopSyntaxError(line, col, expected, found)
 
-    def take(self, kind: str, expected: str | None = None) -> str:
-        """The text of the next token, which must be of this kind."""
-        tok_kind, text, line, col = self.tokens[self.pos]
-        if tok_kind != kind:
-            found = f"'{text}'" if text else "end of input"
-            raise LoopSyntaxError(line, col, expected or f"'{kind}'", found)
+    def take(self, tok: str, expected: str) -> None:
+        if self.tokens[self.pos] != tok:
+            raise self.error(expected)
         self.pos += 1
-        return text
 
-    def accept(self, kind: str) -> bool:
-        if self.tokens[self.pos][0] == kind:
+    def accept(self, tok: str) -> bool:
+        if self.tokens[self.pos] == tok:
             self.pos += 1
             return True
         return False
 
+    def ident(self) -> str:
+        tok = self.tokens[self.pos]
+        if not _is_ident(tok):
+            raise self.error("an identifier")
+        self.pos += 1
+        return tok
+
     def integer(self) -> int:
         negative = self.accept("-")
-        _, _, line, col = self.peek()
-        text = self.take("int", "an integer")
+        tok = self.tokens[self.pos]
+        if not tok[:1].isdecimal():
+            raise self.error("an integer")
         try:
-            value = int(text)
+            value = int(tok)
         except ValueError:  # over the interpreter's int-conversion digit limit
             expected = f"an integer of at most {sys.get_int_max_str_digits()} digits"
-            raise LoopSyntaxError(line, col, expected, f"{len(text)} digits") from None
+            raise self.error(expected, f"{len(tok)} digits") from None
+        self.pos += 1
         return -value if negative else value
 
     def relop(self) -> RelOp:
-        kind, text, line, col = self.peek()
-        for op in RelOp:
-            if kind == op.value:
-                self.pos += 1
-                return op
-        raise LoopSyntaxError(line, col, "a relational operator", f"'{text}'")
+        op = _RELOPS.get(self.tokens[self.pos])
+        if op is None:
+            raise self.error("a relational operator")
+        self.pos += 1
+        return op
 
     def guard(self) -> DiagonalFreeGuard | DiagonalGuard:
-        lhs = self.take("ident", "an identifier")
+        lhs = self.ident()
         if self.accept("-"):
-            rhs = self.take("ident", "an identifier")
+            rhs = self.ident()
             op = self.relop()
             bound = self.integer()
             if lhs == rhs:
@@ -165,7 +182,7 @@ class _Parser:
         return DiagonalFreeGuard(lhs, op, self.integer())
 
     def statement(self) -> tuple[str, Update]:
-        var = self.take("ident", "an identifier")
+        var = self.ident()
         self.take(":=", "':='")
         upd = self.expression(var)
         self.take(";", "';'")
@@ -173,19 +190,18 @@ class _Parser:
 
     def expression(self, assigned: str) -> Update:
         # int | int * ident | ident +/- int | int * ident +/- int
-        kind, text, _, _ = self.peek()
-        if kind == "ident":
+        tok = self.tokens[self.pos]
+        if _is_ident(tok):
             self.pos += 1
-            self._check_self_reference(text, assigned)
+            self._check_self_reference(tok, assigned)
             if self.accept("+"):
                 return Update(1, self.integer())
             if self.accept("-"):
                 return Update(1, -self.integer())
-            _, sign_text, line, col = self.peek()
-            raise LoopSyntaxError(line, col, "'+' or '-'", f"'{sign_text}'")
+            raise self.error("'+' or '-'")
         value = self.integer()
         if self.accept("*"):
-            self._check_self_reference(self.take("ident", "an identifier"), assigned)
+            self._check_self_reference(self.ident(), assigned)
             if self.accept("+"):
                 return Update(value, self.integer())
             if self.accept("-"):
@@ -204,7 +220,7 @@ class _Parser:
     def program(self) -> LoopProgram:
         init: dict[str, int] = {}
         while self.accept("init"):
-            name = self.take("ident", "an identifier")
+            name = self.ident()
             self.take("=", "'='")
             value = self.integer()
             self.take(";", "';'")
@@ -218,7 +234,7 @@ class _Parser:
         self.take("{", "'{'")
         shape = self.body(guard)
         self.take("}", "'}'")
-        self.take("eof", "end of input")
+        self.take("", "end of input")
         program = LoopProgram(shape, init)
         for var in program.variables():
             if var not in init:
@@ -253,7 +269,7 @@ class _Parser:
                     )
             return MultiPathLoop(guard, cond, then_upd, else_upd)
         statements = []
-        while self.peek()[0] != "}":
+        while self.tokens[self.pos] != "}":
             statements.append(self.statement())
         if len(statements) == 1:
             if not isinstance(guard, DiagonalFreeGuard):
@@ -278,7 +294,11 @@ class _Parser:
 
 def parse(text: str) -> LoopProgram:
     """Parse loop-file text; raises LoopSyntaxError/ShapeError/MissingInitError."""
-    return _Parser(_tokenize(text)).program()
+    try:
+        return _Parser(text).program()
+    except ParseError:
+        _check_tokens(text)
+        raise
 
 
 def _render_update(var: str, upd: Update) -> str:

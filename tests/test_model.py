@@ -1,8 +1,27 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import monoterm
-from monoterm import DiagonalFreeGuard, DiagonalGuard, RelOp, Update
+from monoterm import (
+    BoundExhausted,
+    CycleWitness,
+    DiagonalFreeGuard,
+    DiagonalGuard,
+    LoopProgram,
+    NonTerminating,
+    RelOp,
+    SinglePathLoop,
+    Terminating,
+    Unsupported,
+    Update,
+)
+from monoterm.interpreter import TraceState
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
 relops = st.sampled_from(list(RelOp))
@@ -103,3 +122,45 @@ def test_update_is_pure_affine(u, v, x):
     assert upd.apply(x) == u * x + v
     assert upd.apply(x) == upd.apply(x)
     assert upd.first_difference(x) == upd.apply(x) - x
+
+
+def test_value_types_keep_their_repr():
+    # the CLI prints these reprs in an oracle disagreement's details
+    assert repr(BoundExhausted(TraceState((4, -2), 9), 9)) == (
+        "BoundExhausted(last=TraceState(values=(4, -2), step=9), steps=9, monotone_escape=False)"
+    )
+    assert repr(Terminating()) == "Terminating(iterations=None)"
+    assert repr(Terminating(12)) == "Terminating(iterations=12)"
+    assert repr(NonTerminating("lemma1", CycleWitness((3, 5)))) == (
+        "NonTerminating(rule='lemma1', witness=CycleWitness(values=(3, 5), "
+        "procedure=None, sparse=False))"
+    )
+    assert repr(Unsupported("walk budget spent", "budget")) == (
+        "Unsupported(reason='walk budget spent', code='budget')"
+    )
+
+
+def test_value_types_are_immutable_and_hashable():
+    guard = DiagonalFreeGuard("x", RelOp.LT, 5)
+    program = LoopProgram(SinglePathLoop(guard, Update(1, 1)), {"x": 0})
+    for value, name in ((guard, "bound"), (program, "init"), (Terminating(3), "iterations"),
+                        (TraceState((1,), 0), "step")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+    diagonal = DiagonalGuard("x", "y", RelOp.GE, -2)
+    assert len({Update(2, -1), Update(2, -1), Update(1, 0)}) == 2
+    assert len({guard, DiagonalFreeGuard("x", RelOp.LT, 5), diagonal}) == 2
+    assert hash(diagonal) == hash(DiagonalGuard("x", "y", RelOp.GE, -2))
+
+
+def test_importing_the_cli_leaves_dataclasses_out():
+    src = Path(monoterm.__file__).resolve().parents[1]
+    code = "import sys, monoterm.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

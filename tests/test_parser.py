@@ -9,6 +9,7 @@ from monoterm import (
     LoopSyntaxError,
     MissingInitError,
     MultiPathLoop,
+    ParseError,
     RelOp,
     ShapeError,
     SinglePathLoop,
@@ -91,6 +92,52 @@ def test_syntax_error_carries_position_inside_input():
     lines = text.splitlines()
     assert 1 <= err.line <= len(lines)
     assert 1 <= err.col <= len(lines[err.line - 1]) + 1
+
+
+def test_end_of_input_is_named_the_same_by_every_expectation():
+    with pytest.raises(LoopSyntaxError) as exc:
+        parse("init x = 1;\nwhile (x")
+    assert str(exc.value) == "2:9: expected a relational operator, found end of input"
+    with pytest.raises(LoopSyntaxError) as exc:
+        parse("init x = 1;\nwhile (x < 5) { x := x")
+    assert str(exc.value) == "2:23: expected '+' or '-', found end of input"
+    with pytest.raises(LoopSyntaxError) as exc:
+        parse("init x = 1;\nwhile (x < 5")
+    assert str(exc.value) == "2:13: expected ')', found end of input"
+
+
+MUTATION_CHARS = list("xy_q09 \t\n\r#;:=<>(){}+-*") + ["²", "\v", "é", "٣", "$", "while"]
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        roll = rng.random()
+        if roll < 0.4:
+            text = text[:i] + rng.choice(MUTATION_CHARS) + text[i:]
+        elif roll < 0.8:
+            text = text[:i] + text[i + rng.randint(1, 4):]
+        else:
+            text = text[:i]
+    return text
+
+
+def test_mutated_programs_raise_only_parse_errors_inside_the_text():
+    rng = random.Random(20261019)
+    syntax_errors = 0
+    for _ in range(2000):
+        shape = rng.choice(("single", "diagonal", "multipath"))
+        text = _mutate(rng, print_program(random_program(rng, shape, rng.choice((3, 20, 10**6)))))
+        try:
+            parse(text)
+        except LoopSyntaxError as err:
+            syntax_errors += 1
+            lines = text.split("\n")  # only '\n' ends a line; '\r' and '\v' do not
+            assert 1 <= err.line <= len(lines), (text, err)
+            assert 1 <= err.col <= len(lines[err.line - 1]) + 1, (text, err)
+        except ParseError:
+            pass
+    assert syntax_errors > 1000
 
 
 def test_missing_init():
