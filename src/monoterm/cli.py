@@ -1,13 +1,16 @@
 """Command-line driver: analyze one loop file, bench a corpus, or generate one.
 
 Exit codes for `analyze`: 0 terminating, 1 non-terminating, 2 unsupported,
-3 input error (command-line usage errors included), 4 internal error (an
-exception from the analysis itself, printed as one `error: internal:` line).
-`bench` lists unreadable or unparseable files and goes on; it exits 3 on a
-command-line input error (a path that is not a directory included), 4 if
-any file hit an internal error, else 0.  `gen` exits 3, before it creates
-anything, when --count or --bound is below 1, and exits 3 when it cannot
-write its output directory.
+3 input error (usage errors, and a loop file that cannot be read, is not
+UTF-8 or does not parse), 4 internal error: `main` turns any other exception,
+in a command or while writing its output, into one `error: internal:` line.
+`bench` lists bad files and goes on; it exits 3 on a command-line input
+error (a path that is not a directory included), 4 if any file hit an
+internal error, else 0.  `gen` exits 3, before it creates anything, when
+--count or --bound is below 1, and exits 3 when it cannot write its output
+directory.  A verdict's integers may be wider than the parser's 4300-digit
+literal limit; `main` lifts the interpreter's int-to-str limit while a command
+runs, so they print in full.  Library callers must lift it themselves.
 Decision times cover the decider call only (never parsing or the oracle)
 and are reported in milliseconds with microsecond digits.
 """
@@ -32,6 +35,10 @@ from .interpreter import (
 )
 from .model import Unsupported
 from .parser import ParseError, parse
+
+_INPUT_ERRORS = (ParseError, OSError, UnicodeDecodeError)  # a bad loop file: exit 3
+# verdict -> (its column in bench's table, analyze's exit code)
+_VERDICTS = {"terminating": ("T", 0), "nonterminating": ("NT", 1), "unsupported": ("U", 2)}
 
 
 def _max_steps(flag: str | None) -> int:
@@ -72,8 +79,8 @@ def _oracle_json(agreement: Agreement) -> dict:
 
 
 def _analyze_one(path: Path, max_steps: int, oracle_check: bool) -> dict:
-    """Analysis record for one file; raises ParseError/OSError on bad input."""
-    program = parse(path.read_text())
+    """Analysis record for one file; raises one of _INPUT_ERRORS on bad input."""
+    program = parse(path.read_text(encoding="utf-8"))
     start = time.perf_counter()
     verdict = decide(program)
     decision_ms = (time.perf_counter() - start) * 1000.0
@@ -83,12 +90,8 @@ def _analyze_one(path: Path, max_steps: int, oracle_check: bool) -> dict:
     return record
 
 
-_VERDICT_LABEL = {"terminating": "TERMINATING", "nonterminating": "NONTERMINATING",
-                  "unsupported": "UNSUPPORTED"}
-
-
 def _print_text(record: dict) -> None:
-    line = _VERDICT_LABEL[record["verdict"]]
+    line = record["verdict"].upper()
     if record.get("rule"):
         line += f" rule={record['rule']}"
     if record.get("iterations") is not None:
@@ -108,38 +111,27 @@ def _print_text(record: dict) -> None:
             print(f"oracle details: {oracle['details']}")
 
 
-def _exit_code(verdict_name: str) -> int:
-    return {"terminating": 0, "nonterminating": 1, "unsupported": 2}[verdict_name]
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     path = Path(args.file)
     try:
         record = _analyze_one(path, args.max_steps, args.oracle_check)
-    except (ParseError, OSError) as err:
+    except _INPUT_ERRORS as err:
         print(f"error: {path}: {err}", file=sys.stderr)
         return 3
-    except Exception as err:  # a fault in the analysis, not a verdict
-        print(f"error: {_internal_error(err)}", file=sys.stderr)
-        return 4
     if args.format == "json":
         print(json.dumps(record, indent=2))
     else:
         _print_text(record)
-    return _exit_code(record["verdict"])
+    return _VERDICTS[record["verdict"]][1]
 
 
 def _summary_counts(records: list[dict]) -> dict:
-    counts = {"T": 0, "NT": 0, "TO": 0, "M": 0}
+    counts = {"T": 0, "NT": 0, "TO": 0, "M": 0}  # TO: budget timeouts, M: other unsupported
     for r in records:
-        if r["verdict"] == "terminating":
-            counts["T"] += 1
-        elif r["verdict"] == "nonterminating":
-            counts["NT"] += 1
-        elif r.get("code") == "budget":
-            counts["TO"] += 1
-        else:
-            counts["M"] += 1
+        short = _VERDICTS[r["verdict"]][0]
+        if short == "U":
+            short = "TO" if r.get("code") == "budget" else "M"
+        counts[short] += 1
     return counts
 
 
@@ -155,7 +147,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for path in files:
         try:
             records.append(_analyze_one(path, args.max_steps, args.oracle_check))
-        except (ParseError, OSError) as err:
+        except _INPUT_ERRORS as err:
             errors.append((path, str(err)))
         except Exception as err:  # a fault in the analysis: report it and go on
             errors.append((path, _internal_error(err)))
@@ -171,12 +163,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         header += "  oracle"
     print(header)
     print("-" * len(header))
-    short = {"terminating": "T", "nonterminating": "NT", "unsupported": "U"}
     total_ms = 0.0
     for r in records:
         total_ms += r["decision_ms"]
         line = (
-            f"{Path(r['file']).name:<{name_width}}  {short[r['verdict']]:<3}  "
+            f"{Path(r['file']).name:<{name_width}}  {_VERDICTS[r['verdict']][0]:<3}  "
             f"{(r.get('rule') or '-'):<14}  {r['decision_ms']:>10.3f}"
         )
         if args.oracle_check:
@@ -226,19 +217,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    analyze = sub.add_parser("analyze", help="decide one loop file")
-    analyze.add_argument("file")
-    analyze.add_argument("--oracle-check", action="store_true")
-    analyze.add_argument("--max-steps", default=None)
-    analyze.add_argument("--format", choices=("text", "json"), default="text")
-    analyze.set_defaults(func=cmd_analyze)
-
-    bench = sub.add_parser("bench", help="decide every .loop file in a directory")
-    bench.add_argument("dir")
-    bench.add_argument("--oracle-check", action="store_true")
-    bench.add_argument("--max-steps", default=None)
-    bench.add_argument("--format", choices=("text", "json"), default="text")
-    bench.set_defaults(func=cmd_bench)
+    for name, target, help_text, func in (
+        ("analyze", "file", "decide one loop file", cmd_analyze),
+        ("bench", "dir", "decide every .loop file in a directory", cmd_bench),
+    ):
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument(target)
+        command.add_argument("--oracle-check", action="store_true")
+        command.add_argument("--max-steps", default=None)
+        command.add_argument("--format", choices=("text", "json"), default="text")
+        command.set_defaults(func=func)
 
     gen = sub.add_parser("gen", help="generate a random loop corpus")
     gen.add_argument("outdir")
@@ -259,7 +247,18 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as err:
             print(f"error: {err}", file=sys.stderr)
             return 3
-    return args.func(args)
+    # Python 3.10.0-3.10.6 have no int-to-str digit limit to lift.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return args.func(args)
+    except Exception as err:  # a fault in a command or in writing its output, not a verdict
+        print(f"error: {_internal_error(err)}", file=sys.stderr)
+        return 4
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ no token is reported before any other error, as if tokenizing came first.
 from __future__ import annotations
 
 import re
-import sys
 from collections.abc import Iterator
 from itertools import islice
 
@@ -44,6 +43,9 @@ from .model import (
     SinglePathLoop,
     Update,
 )
+
+
+MAX_LITERAL_DIGITS = 4300  # a rule of the language, not the interpreter's int-to-str limit
 
 
 class ParseError(Exception):
@@ -154,13 +156,11 @@ class _Parser:
         tok = self.tokens[self.pos]
         if not tok[:1].isdecimal():
             raise self.error("an integer")
-        try:
-            value = int(tok)
-        except ValueError:  # over the interpreter's int-conversion digit limit
-            expected = f"an integer of at most {sys.get_int_max_str_digits()} digits"
-            raise self.error(expected, f"{len(tok)} digits") from None
+        if len(tok) > MAX_LITERAL_DIGITS:
+            expected = f"an integer of at most {MAX_LITERAL_DIGITS} digits"
+            raise self.error(expected, f"{len(tok)} digits")
         self.pos += 1
-        return -value if negative else value
+        return -int(tok) if negative else int(tok)
 
     def relop(self) -> RelOp:
         op = _RELOPS.get(self.tokens[self.pos])

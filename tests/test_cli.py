@@ -1,4 +1,6 @@
 import json
+import sys
+from types import SimpleNamespace
 
 import pytest
 from jsonschema import validate
@@ -73,7 +75,36 @@ VERDICT_SCHEMA = {
         },
     },
     "required": ["file", "verdict", "rule", "witness", "decision_ms"],
+    # what to_json always emits for these two verdicts
+    "allOf": [
+        {
+            "if": {"properties": {"verdict": {"const": "terminating"}}},
+            "then": {"required": ["iterations"]},
+        },
+        {
+            "if": {"properties": {"verdict": {"const": "unsupported"}}},
+            "then": {"required": ["reason", "code"]},
+        },
+    ],
 }
+
+# Loops whose verdicts hold integers one digit wider than a literal may be,
+# with N = 10**4300 - 1.  The test process keeps the default int-to-str limit,
+# so the expected digits are written out as strings.
+N = "9" * 4300
+WIDE_TERMINATING = f"init x = -{N}; while (x <= {N}) {{ x := x + 1; }}\n"  # 2N + 1 iterations
+WIDE_RECURRENT = (  # recurrent interval [-2N + 1, 0]
+    f"init x = 0; while (x <= 0) {{ if (x <= -{N}) {{ x := x + {N}; }} "
+    f"else {{ x := x - {N}; }} }}\n"
+)
+WIDE_NON_MONOTONE = (  # reaches -2N before x := -x
+    f"init x = 0; while (x <= 0) {{ if (x >= -{N}) {{ x := x - {N}; }} "
+    f"else {{ x := -1 * x; }} }}\n"
+)
+TWO_N_PLUS_1 = "1" + "9" * 4300
+TWO_N_MINUS_1 = "1" + "9" * 4299 + "7"
+TWO_N = "1" + "9" * 4299 + "8"
+NOT_UTF8 = b"# caf\xe9\ninit x = 3; while (x > 0) { x := x - 1; }\n"  # Latin-1 e-acute
 
 
 @pytest.fixture
@@ -343,7 +374,7 @@ def test_bench_json_is_json_dumps_indent2(capsys, tmp_path, loop_file):
     assert out == json.dumps(records, indent=2) + "\n"
 
 
-def _raise_internal(program):
+def _raise_internal(*args, **kwargs):
     raise AssertionError("boom")
 
 
@@ -370,3 +401,80 @@ def test_bench_internal_error_is_recorded_and_exits_4(capsys, tmp_path, loop_fil
     out = capsys.readouterr().out
     assert "a.loop  ERROR  internal: AssertionError: boom" in out
     assert "Total: 0 analyzed, 2 errors" in out
+
+
+def test_wide_iteration_count_prints_in_full(capsys, loop_file):
+    path = loop_file("wide.loop", WIDE_TERMINATING)
+    assert main(["analyze", str(path)]) == 0
+    assert capsys.readouterr().out.startswith(f"TERMINATING iterations={TWO_N_PLUS_1}\n")
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    record = json.loads(capsys.readouterr().out, parse_int=str)
+    assert record["iterations"] == TWO_N_PLUS_1
+
+
+def test_wide_recurrent_interval_prints_in_full(capsys, loop_file):
+    path = loop_file("interval.loop", WIDE_RECURRENT)
+    assert main(["analyze", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("NONTERMINATING rule=T3-row21\n")
+    assert f'"interval": [-{TWO_N_MINUS_1}, 0]' in out
+    assert main(["analyze", str(path), "--format", "json"]) == 1
+    record = json.loads(capsys.readouterr().out, parse_int=str)
+    assert record["rule"] == "T3-row21"
+    assert record["witness"]["interval"] == [f"-{TWO_N_MINUS_1}", "0"]
+
+
+def test_wide_non_monotone_value_prints_in_full(capsys, loop_file):
+    path = loop_file("nonmono.loop", WIDE_NON_MONOTONE)
+    reason = f"non-monotone update x := -1*x + 0: alternates direction from -{TWO_N}"
+    assert main(["analyze", str(path)]) == 2
+    assert f"reason: {reason}\n" in capsys.readouterr().out
+    assert main(["analyze", str(path), "--format", "json"]) == 2
+    record = json.loads(capsys.readouterr().out, parse_int=str)
+    assert (record["reason"], record["code"]) == (reason, "non-monotone")
+
+
+def test_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path, loop_file):
+    path = tmp_path / "latin1.loop"
+    path.write_bytes(NOT_UTF8)
+    for fmt in ("text", "json"):
+        assert main(["analyze", str(path), "--format", fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+        assert "internal" not in captured.err
+    loop_file("ok.loop", "init x = 3; while (x > 0) { x := x - 1; }")
+    assert main(["bench", str(tmp_path), "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert records[0]["verdict"] == "terminating"
+    assert records[1]["file"] == str(path)
+    assert not records[1]["error"].startswith("internal:")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+def test_main_restores_the_int_digit_limit(capsys, loop_file, monkeypatch):
+    wide = loop_file("wide.loop", WIDE_TERMINATING)
+    saved = sys.get_int_max_str_digits()
+    try:
+        for limit in (saved, 640):
+            sys.set_int_max_str_digits(limit)
+            assert main(["analyze", str(wide)]) == 0
+            assert sys.get_int_max_str_digits() == limit
+        with monkeypatch.context() as patch:
+            patch.setattr("monoterm.cli.decide", _raise_internal)
+            assert main(["analyze", str(wide)]) == 4
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert TWO_N_PLUS_1 in capsys.readouterr().out
+
+
+def test_a_fault_while_writing_output_exits_4(capsys, tmp_path, loop_file, monkeypatch):
+    path = loop_file("a.loop", EXAMPLE1)
+    monkeypatch.setattr("monoterm.cli._print_text", _raise_internal)
+    monkeypatch.setattr("monoterm.cli.json", SimpleNamespace(dumps=_raise_internal))
+    for argv in (["analyze", str(path)], ["bench", str(tmp_path), "--format", "json"]):
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal: AssertionError: boom\n"

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -18,6 +19,7 @@ from monoterm import (
     print_program,
 )
 from monoterm.gen import random_program
+from monoterm.parser import MAX_LITERAL_DIGITS
 
 EXAMPLE1 = "init x = 15; while (x >= 5) { if (x >= 10) { x := x + 1; } else { x := x - 1; } }"
 EXAMPLE2 = "init x = 3; while (x <= 10) { if (x <= 5) { x := x + 2; } else { x := x - 3; } }"
@@ -203,6 +205,25 @@ def test_integer_literal_over_digit_limit_is_syntax_error():
         parse(text)
     assert (exc.value.line, exc.value.col) == (2, 13)
     assert exc.value.found == "4400 digits"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+@pytest.mark.parametrize("process_limit", [0, 5000])
+def test_literal_digit_limit_is_the_parsers_own(process_limit):
+    # lifting or raising the interpreter's int-to-str limit does not widen the rule
+    assert MAX_LITERAL_DIGITS == 4300
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(process_limit)
+    try:
+        with pytest.raises(LoopSyntaxError) as exc:
+            parse("init x = 1;\nwhile (x < " + "7" * 4301 + ") { x := x + 1; }")
+        assert str(exc.value) == (
+            "2:12: expected an integer of at most 4300 digits, found 4301 digits"
+        )
+        p = parse("init x = 1;\nwhile (x < " + "7" * 4300 + ") { x := x + 1; }")
+        assert p.shape.guard.bound == int("7" * 4300)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_numeric_character_that_is_not_a_decimal_digit_is_not_a_token():
