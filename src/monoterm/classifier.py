@@ -20,9 +20,7 @@ def classify(upd: Update, start: int) -> MonotoneClass:
     if u == 0 or d == 0:
         return MonotoneClass(ClassKind.CONSTANT, Direction.FLAT)
     if u < 0:
-        raise NonMonotoneUpdateError(
-            f"update x := {u}*x + {v} alternates direction from {start}"
-        )
+        raise NonMonotoneUpdateError(upd)
     direction = Direction.UP if d > 0 else Direction.DOWN
     if u == 1:
         return MonotoneClass(ClassKind.ARITHMETIC, direction)

@@ -197,7 +197,7 @@ def _committed_gap_run(
         limit_sign = _sign(dx0 - dy0)
     if limit_sign == 0:
         # gap differences are identically zero: the gap never changes
-        return NonTerminating(RULE_FROZEN, DivergenceWitness(0, f"gap frozen at {x0 - y0}"))
+        return NonTerminating(RULE_FROZEN, DivergenceWitness(0, "gap frozen at x0 - y0"))
     x, y = x0, y0
     for n in range(1, budget + 1):
         x, y = upd_x.apply(x), upd_y.apply(y)

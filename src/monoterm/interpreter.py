@@ -169,25 +169,22 @@ class Agreement(NamedTuple):
 
 
 def agreement_check(
-    p: LoopProgram,
-    verdict: Verdict,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    divergence_window: int | None = DIVERGENCE_WINDOW,
+    p: LoopProgram, verdict: Verdict, max_steps: int = DEFAULT_MAX_STEPS
 ) -> Agreement:
     """Cross-check a decider verdict against concrete execution.
 
-    Terminating verdicts must terminate (and match the iteration count when
-    the verdict carries one), unless that count exceeds max_steps and the
-    run merely exhausts the budget (flagged as unconfirmed termination);
-    NonTerminating verdicts must either cycle or exhaust the budget, the
-    latter flagged as unconfirmed/consistent divergence rather than proof.
+    Terminating verdicts must terminate after exactly their iteration
+    count, unless it exceeds max_steps and the run merely exhausts the
+    budget (flagged as unconfirmed termination); NonTerminating verdicts,
+    run with DIVERGENCE_WINDOW, must either cycle or exhaust the budget,
+    the latter flagged as unconfirmed/consistent divergence, not proof.
     """
     if isinstance(verdict, Unsupported):
         raise ValueError("agreement_check needs a Terminating or NonTerminating verdict")
     if isinstance(verdict, Terminating):
         result = run(p, max_steps)
         if isinstance(result, TerminatedIn):
-            if verdict.iterations is not None and verdict.iterations != result.steps:
+            if verdict.iterations != result.steps:
                 return Agreement(
                     False,
                     None,
@@ -196,15 +193,11 @@ def agreement_check(
                     f"oracle ran {result.steps}",
                 )
             return Agreement(True, None, result)
-        if (
-            isinstance(result, BoundExhausted)
-            and verdict.iterations is not None
-            and verdict.iterations > max_steps
-        ):
+        if isinstance(result, BoundExhausted) and verdict.iterations > max_steps:
             # the exit lies past the oracle's budget: nothing to contradict
             return Agreement(True, "unconfirmed termination", result)
         return Agreement(False, None, result, f"decided terminating, oracle saw {result}")
-    result = run(p, max_steps, divergence_window=divergence_window)
+    result = run(p, max_steps, divergence_window=DIVERGENCE_WINDOW)
     if isinstance(result, CycleDetected):
         return Agreement(True, None, result)
     if isinstance(result, BoundExhausted):

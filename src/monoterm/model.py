@@ -24,7 +24,12 @@ class UnboundVariableError(AnalysisError):
 
 
 class NonMonotoneUpdateError(AnalysisError):
-    """The update's value sequence is neither strictly monotone nor constant."""
+    """A negative coefficient moves the value: its orbit alternates direction."""
+
+    def __init__(self, update: Update):
+        super().__init__(
+            f"non-monotone update x := {update.coeff}*x + {update.offset}: alternates direction"
+        )
 
 
 class RelOp(Enum):
@@ -276,13 +281,15 @@ Witness = Union[FormulaWitness, CycleWitness, DivergenceWitness, RecurrentWitnes
 
 
 class Terminating(NamedTuple):
-    iterations: int | None = None
+    iterations: int
 
     def to_json(self) -> dict:
-        out: dict = {"verdict": "terminating", "rule": None, "witness": None}
-        if self.iterations is not None:
-            out["iterations"] = self.iterations
-        return out
+        return {
+            "verdict": "terminating",
+            "rule": None,
+            "witness": None,
+            "iterations": self.iterations,
+        }
 
 
 class NonTerminating(NamedTuple):

@@ -23,11 +23,6 @@ At the second switch value the walk tries one O(1) certificate, a
 recurrent interval: an interval inside the guard that the loop body maps
 into itself and that the orbit has entered.  It decides most
 non-terminating alternations however long their cycle.
-
-The walk first turns the guard and the branch condition into inclusive
-integer limits (RelOp.limit) and each branch into a (coeff, offset, side,
-limit) tuple, so that every jump is plain integer comparisons and
-arithmetic.
 """
 
 from __future__ import annotations
@@ -42,11 +37,13 @@ from .model import (
     Env,
     FormulaWitness,
     MultiPathLoop,
+    NonMonotoneUpdateError,
     NonTerminating,
     RecurrentWitness,
     RelOp,
     Terminating,
     Unsupported,
+    Update,
     Verdict,
 )
 from .psi import escape_region
@@ -168,38 +165,6 @@ def formula_applies(row: int, loop: MultiPathLoop, x0: int) -> bool:
     return mono.first_difference(const.offset) * mono.first_difference(x0) > 0
 
 
-class _FormulaContext:
-    def __init__(self, loop: MultiPathLoop, x0: int, row: int):
-        self.phi, self.cond = loop.guard, loop.branch_cond
-        self.bindings: dict[str, int] = {"x0": x0, "c": self.phi.bound, "c1": self.cond.bound}
-        _, _, dir1, dir2 = ROW_KEYS[row]
-        const_then = dir1 is Direction.FLAT
-        if const_then and dir2 is Direction.FLAT:
-            self.bindings.update(b1=loop.then_update.offset, b2=loop.else_update.offset)
-        elif const_then or dir2 is Direction.FLAT:
-            self.bindings["b"] = (loop.then_update if const_then else loop.else_update).offset
-        # psi probes run the monotone branch to the edge of its region
-        self.mono_upd = loop.else_update if const_then else loop.then_update
-        mono_region_op = self.cond.op.negated() if const_then else self.cond.op
-        self.mono_upper = mono_region_op.bounded_above
-        self.mono_limit = mono_region_op.limit(self.cond.bound)
-
-    def eval_token(self, token: str) -> tuple[str, bool]:
-        """Evaluate ``subject~relation``: the subject is a binding or psi(binding),
-        the relation is phi, B or !B; a psi value is recorded as a binding."""
-        subject, relation = token.split("~")
-        atom, bound_name = (self.phi, "c") if relation == "phi" else (self.cond, "c1")
-        op = atom.op.negated() if relation == "!B" else atom.op
-        if subject.startswith("psi("):
-            arg = subject[4:-1]
-            subject = ("psi(" if self.mono_upper else "psi'(") + arg + ")"
-            if subject not in self.bindings:
-                self.bindings[subject] = escape_region(
-                    self.bindings[arg], self.mono_upd, self.mono_upper, self.mono_limit
-                )[0]
-        return f"{subject} {op.value} {bound_name}", op.holds(self.bindings[subject], atom.bound)
-
-
 def nt_formula(row: int, loop: MultiPathLoop, x0: int) -> tuple[bool, FormulaWitness]:
     """Evaluate the row's non-termination formula exactly.
 
@@ -209,23 +174,38 @@ def nt_formula(row: int, loop: MultiPathLoop, x0: int) -> tuple[bool, FormulaWit
     """
     if not formula_applies(row, loop, x0):
         raise AnalysisError(f"row {row}'s formula does not apply to this loop at x0 = {x0}")
-    ctx = _FormulaContext(loop, x0, row)
+    phi, cond = loop.guard, loop.branch_cond
+    bindings: dict[str, int] = {"x0": x0, "c": phi.bound, "c1": cond.bound}
+    _, _, dir1, dir2 = ROW_KEYS[row]
+    const_then = dir1 is Direction.FLAT
+    if const_then and dir2 is Direction.FLAT:
+        bindings.update(b1=loop.then_update.offset, b2=loop.else_update.offset)
+    elif const_then or dir2 is Direction.FLAT:
+        bindings["b"] = (loop.then_update if const_then else loop.else_update).offset
+    # psi probes run the monotone branch to the edge of its region
+    a, b, upper, limit = _branches(loop)[const_then]
+    psi = "psi(" if upper else "psi'("
     failures: list[tuple[str, bool]] = []
     for index, disjunct in enumerate(_ROW_FORMULAS[row]):
         conjuncts: list[tuple[str, bool]] = []
-        satisfied = True
         for token in disjunct:
-            name, value = ctx.eval_token(token)
-            conjuncts.append((name, value))
-            if not value:
-                satisfied = False
+            # a binding or psi(binding) ~ phi, B or !B; psi values become bindings
+            subject, relation = token.split("~")
+            atom, bound_name = (phi, "c") if relation == "phi" else (cond, "c1")
+            op = atom.op.negated() if relation == "!B" else atom.op
+            if subject.startswith("psi("):
+                arg = subject[4:-1]
+                subject = f"{psi}{arg})"
+                if subject not in bindings:
+                    bindings[subject] = escape_region(bindings[arg], Update(a, b), upper, limit)[0]
+            holds = op.holds(bindings[subject], atom.bound)
+            conjuncts.append((f"{subject} {op.value} {bound_name}", holds))
+            if not holds:
                 break
-        if satisfied:
-            return True, FormulaWitness(
-                tuple(conjuncts), index, tuple(sorted(ctx.bindings.items()))
-            )
+        else:
+            return True, FormulaWitness(tuple(conjuncts), index, tuple(sorted(bindings.items())))
         failures.append((f"disjunct {index}: {conjuncts[-1][0]}", False))
-    return False, FormulaWitness(tuple(failures), -1, tuple(sorted(ctx.bindings.items())))
+    return False, FormulaWitness(tuple(failures), -1, tuple(sorted(bindings.items())))
 
 
 # --- Accelerated trajectory walk ---------------------------------------------
@@ -237,6 +217,16 @@ def nt_formula(row: int, loop: MultiPathLoop, x0: int) -> tuple[bool, FormulaWit
 # else-region is the negated branch condition.
 
 _Branch = tuple[int, int, bool, int]
+
+
+def _branches(loop: MultiPathLoop) -> tuple[_Branch, _Branch]:
+    """The then- and else-branch as (coeff, offset, region_is_upper, limit)."""
+    cond, then_u, else_u = loop.branch_cond, loop.then_update, loop.else_update
+    else_op = cond.op.negated()
+    return (
+        (then_u.coeff, then_u.offset, cond.op.bounded_above, cond.op.limit(cond.bound)),
+        (else_u.coeff, else_u.offset, else_op.bounded_above, else_op.limit(cond.bound)),
+    )
 
 
 def _cycle_witness(
@@ -312,20 +302,15 @@ def accelerated_walk(
     point is a one-value cycle.  A run that cannot leave its region either
     freezes the guard truth forever (non-terminating) or marches
     monotonically through the guard bound (terminating).  A negative
-    coefficient that moves the value is non-monotone and unsupported.
+    coefficient that moves the value raises NonMonotoneUpdateError.
     At the second switch value the walk tries _recurrent_interval once and
     stops there when the interval holds more than _WALKED_INTERVAL values.
     """
-    phi, cond = loop.guard, loop.branch_cond
+    phi = loop.guard
     phi_upper, phi_limit = phi.op.bounded_above, phi.op.limit(phi.bound)
     assert x0 <= phi_limit if phi_upper else x0 >= phi_limit
-    cond_upper, cond_limit = cond.op.bounded_above, cond.op.limit(cond.bound)
-    else_op = cond.op.negated()
-    then_u, else_u = loop.then_update, loop.else_update
-    branches = then_br, else_br = (
-        (then_u.coeff, then_u.offset, cond_upper, cond_limit),
-        (else_u.coeff, else_u.offset, else_op.bounded_above, else_op.limit(cond.bound)),
-    )
+    branches = then_br, else_br = _branches(loop)
+    _, _, cond_upper, cond_limit = then_br
     steps_at: dict[int, int] = {}  # switch value -> steps taken to reach it, in walk order
     val, steps = x0, 0
     for _ in range(max_jumps):
@@ -337,9 +322,7 @@ def accelerated_walk(
         if diff == 0:
             return NonTerminating(rule, CycleWitness((val,), procedure))
         if a < 0:
-            return Unsupported(
-                f"non-monotone update x := {a}*x + {b}: alternates direction from {val}"
-            )
+            raise NonMonotoneUpdateError(Update(a, b))
         if a == 0 or (diff > 0) == upper:
             # first value outside the branch's region, and the step count.
             # This is escape_region's arithmetic, inlined on purpose: calling
@@ -386,7 +369,7 @@ def accelerated_walk(
                 ),
             )
         # the guard fails within this run
-        _, n = escape_region(val, then_u if in_then else else_u, phi_upper, phi_limit)
+        _, n = escape_region(val, Update(a, b), phi_upper, phi_limit)
         return Terminating(steps + n)
     return Unsupported(f"trajectory walk exceeded {max_jumps} jumps", "budget")
 
@@ -395,7 +378,7 @@ def accelerated_walk(
 
 
 def decide_multipath(
-    loop: MultiPathLoop, init: Env, walk_budget: int = SEARCH_BUDGET
+    loop: MultiPathLoop, init: Env, search_budget: int = SEARCH_BUDGET
 ) -> Verdict:
     """Classify both branches at x0, walk the trajectory, and explain a
     non-terminating walk by the row's closed formula where it applies."""
@@ -409,7 +392,7 @@ def decide_multipath(
     rule = f"T3-row{row}"
     # fixed-point search: Algorithm 3 for rows 21-22, Algorithm 4 for rows 23-24
     procedure = "alg3" if 21 <= row <= 22 else "alg4" if 23 <= row <= 24 else None
-    verdict = accelerated_walk(loop, x0, rule, procedure, walk_budget)
+    verdict = accelerated_walk(loop, x0, rule, procedure, search_budget)
     if not isinstance(verdict, NonTerminating):
         return verdict
     if row >= 29:

@@ -18,29 +18,22 @@ from .model import AnalysisError, RelOp, Update
 def psi_a(d: int, c1: int, v: int, op: RelOp) -> int:
     """Smallest value reachable from d by repeated +v that falsifies (x op c1).
 
-    op must bound x from above (< or <=) and d must satisfy it; v > 0.
+    op must bound x from above (< or <=).  escape_region raises
+    AnalysisError unless d satisfies it and v > 0.
     """
-    if v <= 0:
-        raise AnalysisError(f"psi_a needs a positive increment, got {v}")
     if not op.bounded_above:
         raise AnalysisError(f"psi_a needs op in {{<, <=}}, got {op.value}")
-    if not op.holds(d, c1):
-        raise AnalysisError(f"psi_a start {d} does not satisfy x {op.value} {c1}")
     return escape_region(d, Update(1, v), True, op.limit(c1))[0]
 
 
 def psi_prime_a(d: int, c1: int, step: int, op: RelOp) -> int:
     """First value reachable from d by repeated -step that falsifies (x op c1).
 
-    op must bound x from below (> or >=) and d must satisfy it; step > 0 is
-    the decrement magnitude.
+    op must bound x from below (> or >=); step is the decrement magnitude.
+    escape_region raises AnalysisError unless d satisfies op and step > 0.
     """
-    if step <= 0:
-        raise AnalysisError(f"psi_prime_a needs a positive decrement, got {step}")
     if not op.bounded_below:
         raise AnalysisError(f"psi_prime_a needs op in {{>, >=}}, got {op.value}")
-    if not op.holds(d, c1):
-        raise AnalysisError(f"psi_prime_a start {d} does not satisfy x {op.value} {c1}")
     return escape_region(d, Update(1, -step), False, op.limit(c1))[0]
 
 

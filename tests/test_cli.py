@@ -426,7 +426,7 @@ def test_wide_recurrent_interval_prints_in_full(capsys, loop_file):
 
 def test_wide_non_monotone_value_prints_in_full(capsys, loop_file):
     path = loop_file("nonmono.loop", WIDE_NON_MONOTONE)
-    reason = f"non-monotone update x := -1*x + 0: alternates direction from -{TWO_N}"
+    reason = "non-monotone update x := -1*x + 0: alternates direction"
     assert main(["analyze", str(path)]) == 2
     assert f"reason: {reason}\n" in capsys.readouterr().out
     assert main(["analyze", str(path), "--format", "json"]) == 2

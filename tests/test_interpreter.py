@@ -96,7 +96,7 @@ def test_agreement_rejects_wrong_iteration_count():
 def test_agreement_notes_unconfirmed_divergence():
     program = single(">", 0, (1, 1), 1)
     verdict = decide(program)
-    check = agreement_check(program, verdict, max_steps=50, divergence_window=None)
+    check = agreement_check(program, verdict, max_steps=50)
     assert check.ok and check.note == "unconfirmed divergence"
     check = agreement_check(program, verdict, max_steps=10**6)
     assert check.ok and check.note == "divergence-consistent"

@@ -129,7 +129,7 @@ def test_value_types_keep_their_repr():
     assert repr(BoundExhausted(TraceState((4, -2), 9), 9)) == (
         "BoundExhausted(last=TraceState(values=(4, -2), step=9), steps=9, monotone_escape=False)"
     )
-    assert repr(Terminating()) == "Terminating(iterations=None)"
+    assert repr(Terminating(0)) == "Terminating(iterations=0)"
     assert repr(Terminating(12)) == "Terminating(iterations=12)"
     assert repr(NonTerminating("lemma1", CycleWitness((3, 5)))) == (
         "NonTerminating(rule='lemma1', witness=CycleWitness(values=(3, 5), "
