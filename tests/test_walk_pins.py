@@ -55,7 +55,7 @@ MULTIPATH_KEYS_SHA256 = "356edee96bd0515192b49a35c0dda14c012e7cf792b7a222a7a79a7
 # Diagonal loops for every class pair at bounds 30 and 2000, and random
 # diagonal loops at bound 10**6: every diagonal rule, T2 rows 1-8 included.
 PAIR_SEEDS = range(200)
-PAIR_SHA256 = "28c13f677858ff68ac0e088ee6d4a230679c8302fa13e01740a19d20952b8e8f"
+PAIR_SHA256 = "1c699857e58603128b30f700b4da39120d7ff193a2a13e05d17f036830436ff2"
 RANDOM_DIAGONAL_SEEDS = range(3000)
 RANDOM_DIAGONAL_SHA256 = "81da7d2f85596e1cff23366894e586030f64ed7d30ab576deba03e3814f074a2"
 
