@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 from jsonschema import validate
 
-from monoterm import RecurrentWitness, decide, parse
+from monoterm import CycleWitness, NonTerminating, RecurrentWitness, decide, parse
 from monoterm.cli import _summary_counts, main
 from monoterm.interpreter import DIVERGENCE_WINDOW
 
@@ -386,6 +386,18 @@ def test_analyze_internal_error_exits_4(capsys, loop_file, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: internal: AssertionError: boom\n"
+
+
+def test_analyze_prints_oracle_details_for_a_disagreement(capsys, loop_file, monkeypatch):
+    wrong = NonTerminating("Lemma1", CycleWitness((3,)))
+    monkeypatch.setattr("monoterm.cli.decide", lambda program: wrong)
+    path = loop_file("countdown.loop", "init x = 3; while (x > 0) { x := x - 1; }\n")
+    assert main(["analyze", str(path), "--oracle-check"]) == 1
+    out = capsys.readouterr().out
+    assert "oracle: terminated after 3 steps, DISAGREES\n" in out
+    assert out.endswith(
+        "oracle details: decided nonterminating, oracle saw TerminatedIn(steps=3)\n"
+    )
 
 
 def test_bench_internal_error_is_recorded_and_exits_4(capsys, tmp_path, loop_file, monkeypatch):

@@ -153,8 +153,9 @@ def test_search_budget_exhaustion_reports_unsupported():
         diagonal(">", 0, (2, 0), (1, 1), -1, -100),
         diagonal(">", 0, (1, 3), (2, 0), 50, 1),
     ):
-        v = decide(program, search_budget=3)
+        v = decide(program, search_budget=6)
         assert isinstance(v, Unsupported) and "exceeded" in v.reason
+        assert decide(program, search_budget=7) == Terminating(7)
         assert decide(program) == Terminating(7)
 
 

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from monoterm import (
     BoundExhausted,
     CycleDetected,
+    CycleWitness,
+    NonTerminating,
     TerminatedIn,
     Terminating,
     Unsupported,
@@ -91,6 +93,13 @@ def test_agreement_rejects_wrong_iteration_count():
     check = agreement_check(program, Terminating(2))
     assert not check.ok
     assert "mismatch" in check.details
+
+
+def test_agreement_rejects_nontermination_on_a_terminating_loop():
+    program = single(">", 0, (1, -1), 3)
+    check = agreement_check(program, NonTerminating("Lemma1", CycleWitness((3,))))
+    assert not check.ok and check.oracle == TerminatedIn(3)
+    assert check.details == "decided nonterminating, oracle saw TerminatedIn(steps=3)"
 
 
 def test_agreement_notes_unconfirmed_divergence():

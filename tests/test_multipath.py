@@ -355,6 +355,16 @@ def test_rotation_checks_only_the_residue_class_of_v1(program, rule, cycle):
     assert decide(program).witness.values == cycle
 
 
+def test_trace_ends_at_the_recurrent_interval_entry():
+    # x := x + 1000 below -999, x := x - 1000 above: the body maps
+    # [-1999, 0] into itself, and the orbit enters it at its second switch value
+    program = multipath("<=", 0, "<=", -1000, (1, 1000), (1, -1000), 0)
+    trace: list[int] = []
+    v = accelerated_walk(program.shape, 0, "T3-row21", "alg3", trace=trace)
+    assert v == NonTerminating("T3-row21", RecurrentWitness((-1999, 0), -1000, 1, "alg3"))
+    assert trace == [0, v.witness.entry]
+
+
 def _verdict_key(verdict) -> tuple:
     out = verdict.to_json()
     return out["verdict"], out["rule"], out.get("iterations")

@@ -167,6 +167,16 @@ def test_shape_errors():
         parse("init x = 0; init x = 1; while (x > 0) { x := x - 1; }")
     with pytest.raises(ShapeError):  # empty body
         parse("init x = 0; while (x > 0) { }")
+    with pytest.raises(ShapeError, match="diagonal-free loop guard"):  # if under a diagonal guard
+        parse("init x = 0; init y = 0; "
+              "while (x - y > 0) { if (x > 0) { x := 1; } else { x := 2; } }")
+    with pytest.raises(ShapeError, match="branch conditions"):  # diagonal branch condition
+        parse("init x = 0; init y = 0; "
+              "while (x > 0) { if (x - y > 0) { x := 1; } else { x := 2; } }")
+    with pytest.raises(ShapeError, match="not 'y'"):  # a branch updates another variable
+        parse("init x = 0; init y = 0; while (x > 0) { if (x > 0) { y := 1; } else { x := 2; } }")
+    with pytest.raises(ShapeError, match="exactly 'x' and 'y'"):  # diagonal body, wrong pair
+        parse("init x = 0; init y = 0; init z = 0; while (x - y > 0) { x := x + 1; z := z + 1; }")
 
 
 def test_roundtrip_examples():

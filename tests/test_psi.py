@@ -55,6 +55,15 @@ def test_psi_preconditions():
         escape_region(3, Update(0, 9), True, 5)  # a constant assignment is no orbit
 
 
+def test_psi_prime_a_rejects_an_upper_bound_and_a_step_below_one():
+    for op in (RelOp.LT, RelOp.LE):
+        with pytest.raises(AnalysisError):
+            psi_prime_a(1, 5, 2, op)
+    for step in (0, -2):
+        with pytest.raises(AnalysisError):
+            psi_prime_a(9, 5, step, RelOp.GE)
+
+
 up_ops = st.sampled_from((RelOp.LT, RelOp.LE))
 down_ops = st.sampled_from((RelOp.GT, RelOp.GE))
 
