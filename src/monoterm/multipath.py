@@ -182,14 +182,14 @@ def nt_formula(row: int, loop: MultiPathLoop, x0: int) -> tuple[bool, FormulaWit
         bindings.update(b1=loop.then_update.offset, b2=loop.else_update.offset)
     elif const_then or dir2 is Direction.FLAT:
         bindings["b"] = (loop.then_update if const_then else loop.else_update).offset
-    # psi probes run the monotone branch to the edge of its region
+    # psi probes run the monotone branch (the else-branch when the then-branch
+    # is constant) to the edge of its region
     a, b, upper, limit = _branches(loop)[const_then]
     psi = "psi(" if upper else "psi'("
     failures: list[tuple[str, bool]] = []
     for index, disjunct in enumerate(_ROW_FORMULAS[row]):
         conjuncts: list[tuple[str, bool]] = []
         for token in disjunct:
-            # a binding or psi(binding) ~ phi, B or !B; psi values become bindings
             subject, relation = token.split("~")
             atom, bound_name = (phi, "c") if relation == "phi" else (cond, "c1")
             op = atom.op.negated() if relation == "!B" else atom.op

@@ -49,19 +49,16 @@ def test_psi_preconditions():
         psi_a(3, 5, 2, RelOp.GE)  # wrong bound direction
     with pytest.raises(AnalysisError):
         psi_prime_a(1, 5, 2, RelOp.GE)
-    with pytest.raises(AnalysisError):
-        escape_region(9, Update(1, 2), True, 5)  # start outside the region
-    with pytest.raises(AnalysisError):
-        escape_region(3, Update(0, 9), True, 5)  # a constant assignment is no orbit
-
-
-def test_psi_prime_a_rejects_an_upper_bound_and_a_step_below_one():
-    for op in (RelOp.LT, RelOp.LE):
+    for op in (RelOp.LT, RelOp.LE):  # wrong bound direction
         with pytest.raises(AnalysisError):
             psi_prime_a(1, 5, 2, op)
     for step in (0, -2):
         with pytest.raises(AnalysisError):
             psi_prime_a(9, 5, step, RelOp.GE)
+    with pytest.raises(AnalysisError):
+        escape_region(9, Update(1, 2), True, 5)  # start outside the region
+    with pytest.raises(AnalysisError):
+        escape_region(3, Update(0, 9), True, 5)  # a constant assignment is no orbit
 
 
 up_ops = st.sampled_from((RelOp.LT, RelOp.LE))
