@@ -356,7 +356,7 @@ def test_rotation_checks_only_the_residue_class_of_v1(program, rule, cycle):
 
 
 def test_trace_ends_at_the_recurrent_interval_entry():
-    # x := x + 1000 below -999, x := x - 1000 above: the body maps
+    # x := x + 1000 at x <= -1000, x := x - 1000 above: the body maps
     # [-1999, 0] into itself, and the orbit enters it at its second switch value
     program = multipath("<=", 0, "<=", -1000, (1, 1000), (1, -1000), 0)
     trace: list[int] = []
