@@ -37,11 +37,12 @@ from .model import (
     RelOp,
     SinglePathLoop,
     Terminating,
+    UnboundVariableError,
     Unsupported,
     Update,
     Verdict,
 )
-from .multipath import accelerated_walk, decide_multipath, nt_formula
+from .multipath import accelerated_walk, decide_multipath
 from .parser import (
     LoopSyntaxError,
     MissingInitError,
@@ -62,7 +63,6 @@ __all__ = [
     "decide_single",
     "decide_diagonal_program",
     "decide_multipath",
-    "nt_formula",
     "accelerated_walk",
     "LoopProgram",
     "SinglePathLoop",
@@ -89,6 +89,7 @@ __all__ = [
     "OracleResult",
     "Agreement",
     "AnalysisError",
+    "UnboundVariableError",
     "NonMonotoneUpdateError",
     "ParseError",
     "LoopSyntaxError",

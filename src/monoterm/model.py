@@ -196,8 +196,8 @@ class LoopProgram(NamedTuple):
 
 
 class FormulaWitness(NamedTuple):
-    """A satisfied (or refuted) rule formula: the conjunct truth values
-    of the deciding disjunct, plus the integer values it mentioned."""
+    """A satisfied rule formula: the conjunct truth values of the
+    deciding disjunct, plus the integer values it mentioned."""
 
     conjuncts: tuple[tuple[str, bool], ...]
     disjunct: int = 0

@@ -30,7 +30,6 @@ from __future__ import annotations
 from .classifier import classify
 from .model import (
     SEARCH_BUDGET,
-    AnalysisError,
     CycleWitness,
     Direction,
     DivergenceWitness,
@@ -165,16 +164,32 @@ def formula_applies(row: int, loop: MultiPathLoop, x0: int) -> bool:
     return mono.first_difference(const.offset) * mono.first_difference(x0) > 0
 
 
-def nt_formula(row: int, loop: MultiPathLoop, x0: int) -> tuple[bool, FormulaWitness]:
-    """Evaluate the row's non-termination formula exactly.
+def nt_formula(row: int, loop: MultiPathLoop, x0: int) -> FormulaWitness | None:
+    """Explain a non-terminating walk from x0 by the row's formula.
 
-    Returns (satisfied, witness); the witness lists the evaluated conjuncts
-    of the deciding disjunct and the integer values they referenced.
-    Raises AnalysisError when formula_applies is false.
+    Rows 29-36 get the branches' shared direction, which preserves the
+    guard.  A row whose closed formula applies (formula_applies) gets the
+    evaluated conjuncts of its first satisfied disjunct and the integer
+    values they referenced.  Elsewhere, and on the alternating rows 21-24,
+    returns None: the walk's own witness stands.
     """
+    phi = loop.guard
+    if row >= 29:
+        # both branches move the same way; the branch condition is irrelevant
+        direction = ROW_KEYS[row][2]
+        assert (phi.op.bounded_below and direction is Direction.UP) or (
+            phi.op.bounded_above and direction is Direction.DOWN
+        ), f"walk diverges on row {row} against the guard"
+        return FormulaWitness(
+            conjuncts=(
+                (f"x0 {phi.op.value} c", True),
+                (f"both branches move {direction.value}, preserving the guard", True),
+            ),
+            bindings=(("x0", x0), ("c", phi.bound)),
+        )
     if not formula_applies(row, loop, x0):
-        raise AnalysisError(f"row {row}'s formula does not apply to this loop at x0 = {x0}")
-    phi, cond = loop.guard, loop.branch_cond
+        return None
+    cond = loop.branch_cond
     bindings: dict[str, int] = {"x0": x0, "c": phi.bound, "c1": cond.bound}
     _, _, dir1, dir2 = ROW_KEYS[row]
     const_then = dir1 is Direction.FLAT
@@ -186,7 +201,6 @@ def nt_formula(row: int, loop: MultiPathLoop, x0: int) -> tuple[bool, FormulaWit
     # is constant) to the edge of its region
     a, b, upper, limit = _branches(loop)[const_then]
     psi = "psi(" if upper else "psi'("
-    failures: list[tuple[str, bool]] = []
     for index, disjunct in enumerate(_ROW_FORMULAS[row]):
         conjuncts: list[tuple[str, bool]] = []
         for token in disjunct:
@@ -203,9 +217,8 @@ def nt_formula(row: int, loop: MultiPathLoop, x0: int) -> tuple[bool, FormulaWit
             if not holds:
                 break
         else:
-            return True, FormulaWitness(tuple(conjuncts), index, tuple(sorted(bindings.items())))
-        failures.append((f"disjunct {index}: {conjuncts[-1][0]}", False))
-    return False, FormulaWitness(tuple(failures), -1, tuple(sorted(bindings.items())))
+            return FormulaWitness(tuple(conjuncts), index, tuple(sorted(bindings.items())))
+    raise AssertionError(f"formula and walk disagree on row {row}")
 
 
 # --- Accelerated trajectory walk ---------------------------------------------
@@ -380,8 +393,8 @@ def accelerated_walk(
 def decide_multipath(
     loop: MultiPathLoop, init: Env, search_budget: int = SEARCH_BUDGET
 ) -> Verdict:
-    """Classify both branches at x0, walk the trajectory, and explain a
-    non-terminating walk by the row's closed formula where it applies."""
+    """Classify both branches at x0, walk the trajectory, and let nt_formula
+    explain a non-terminating walk where the row can."""
     x0 = init[loop.guard.var]
     phi = loop.guard
     if not phi.op.holds(x0, phi.bound):
@@ -395,26 +408,5 @@ def decide_multipath(
     verdict = accelerated_walk(loop, x0, rule, procedure, search_budget)
     if not isinstance(verdict, NonTerminating):
         return verdict
-    if row >= 29:
-        # both branches move the same way; the branch condition is irrelevant
-        direction = cls1.direction
-        assert (phi.op.bounded_below and direction is Direction.UP) or (
-            phi.op.bounded_above and direction is Direction.DOWN
-        ), f"walk diverges on row {row} against the guard"
-        return NonTerminating(
-            rule,
-            FormulaWitness(
-                conjuncts=(
-                    (f"x0 {phi.op.value} c", True),
-                    (f"both branches move {direction.value}, preserving the guard", True),
-                ),
-                bindings=(("x0", x0), ("c", phi.bound)),
-            ),
-        )
-    # rows 21-24 have no closed formula: there, and wherever a formula's
-    # assumptions fail, the walk's own witness stands
-    if not formula_applies(row, loop, x0):
-        return verdict
-    satisfied, witness = nt_formula(row, loop, x0)
-    assert satisfied, f"formula and walk disagree on row {row}"
-    return NonTerminating(rule, witness)
+    witness = nt_formula(row, loop, x0)
+    return verdict if witness is None else NonTerminating(rule, witness)

@@ -6,35 +6,14 @@ its relation as an inclusive integer limit (RelOp.limit) and asks
 escape_region for that value and its step count: in closed form for
 arithmetic updates (one step past the last value inside the limit), by
 iteration for geometric/affine ones, which pass any bound within a
-logarithmic number of steps.  psi_a (going up) and psi_prime_a (going down)
-are the paper's arithmetic first falsifiers, stated through escape_region.
+logarithmic number of steps.  The paper's arithmetic first falsifiers, going
+up and going down by v, are its a == 1 case: escape_region(d, Update(1, v),
+True, limit) and escape_region(d, Update(1, -v), False, limit).
 """
 
 from __future__ import annotations
 
-from .model import AnalysisError, RelOp, Update
-
-
-def psi_a(d: int, c1: int, v: int, op: RelOp) -> int:
-    """Smallest value reachable from d by repeated +v that falsifies (x op c1).
-
-    op must bound x from above (< or <=).  escape_region raises
-    AnalysisError unless d satisfies it and v > 0.
-    """
-    if not op.bounded_above:
-        raise AnalysisError(f"psi_a needs op in {{<, <=}}, got {op.value}")
-    return escape_region(d, Update(1, v), True, op.limit(c1))[0]
-
-
-def psi_prime_a(d: int, c1: int, step: int, op: RelOp) -> int:
-    """First value reachable from d by repeated -step that falsifies (x op c1).
-
-    op must bound x from below (> or >=); step is the decrement magnitude.
-    escape_region raises AnalysisError unless d satisfies op and step > 0.
-    """
-    if not op.bounded_below:
-        raise AnalysisError(f"psi_prime_a needs op in {{>, >=}}, got {op.value}")
-    return escape_region(d, Update(1, -step), False, op.limit(c1))[0]
+from .model import AnalysisError, Update
 
 
 def escape_region(d: int, upd: Update, upper: bool, limit: int) -> tuple[int, int]:

@@ -21,6 +21,7 @@ from monoterm import (
     RelOp,
     Terminating,
     Unsupported,
+    Update,
     agreement_check,
     classify,
     decide,
@@ -30,7 +31,7 @@ from monoterm.cli import main
 from monoterm.gen import diagonal_for_pair, generate_corpus, multipath_for_row
 from monoterm.model import DiagonalLoop, MultiPathLoop
 from monoterm.multipath import case_row, formula_applies
-from monoterm.psi import psi_a, psi_prime_a
+from monoterm.psi import escape_region
 
 from conftest import brute_first_falsifier
 
@@ -98,17 +99,11 @@ def test_criterion_3_psi_grid_matches_brute_force(capsys):
     for d in range(-60, 61):
         for c1 in range(-20, 21):
             for v in range(1, 13):
-                for op in (RelOp.LE, RelOp.LT):
+                for op in RelOp:  # psi_a steps up under < and <=, psi'_a down
                     if op.holds(d, c1):
-                        assert psi_a(d, c1, v, op) == brute_first_falsifier(d, c1, v, op), (
-                            d, c1, v, op,
-                        )
-                        checked += 1
-                for op in (RelOp.GE, RelOp.GT):
-                    if op.holds(d, c1):
-                        assert psi_prime_a(d, c1, v, op) == brute_first_falsifier(
-                            d, c1, -v, op
-                        ), (d, c1, v, op)
+                        step = v if op.bounded_above else -v
+                        value, _ = escape_region(d, Update(1, step), op.bounded_above, op.limit(c1))
+                        assert value == brute_first_falsifier(d, c1, step, op), (d, c1, v, op)
                         checked += 1
     elapsed = time.perf_counter() - start
     ok = elapsed < 5.0

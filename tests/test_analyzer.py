@@ -12,12 +12,12 @@ from monoterm import (
     NonTerminating,
     RelOp,
     SinglePathLoop,
+    UnboundVariableError,
     Unsupported,
     Update,
     decide,
     parse,
 )
-from monoterm.model import UnboundVariableError
 
 from conftest import NEG_MOVING
 

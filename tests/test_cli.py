@@ -23,8 +23,13 @@ INT = {"type": "integer"}
 # Each witness kind with its own required fields.
 WITNESS_FIELDS = {
     "formula": {
-        "disjunct": INT,
-        "conjuncts": {"type": "array", "items": {"type": "array", "minItems": 2, "maxItems": 2}},
+        # only a satisfied formula is a witness: a real disjunct whose conjuncts all hold
+        "disjunct": {"type": "integer", "minimum": 0},
+        "conjuncts": {
+            "type": "array",
+            "items": {"type": "array", "prefixItems": [{"type": "string"}, {"const": True}],
+                      "minItems": 2, "maxItems": 2},
+        },
         "bindings": {"type": "object", "additionalProperties": INT},
     },
     "cycle": {"cycle": {"type": "array", "minItems": 1}},
@@ -345,16 +350,14 @@ def test_overlong_integer_literal_is_a_syntax_error(capsys, tmp_path, loop_file)
 
 
 @pytest.mark.parametrize(
-    "argv_tail, env, message",
+    "argv_tail, message",
     [
-        (["--max-steps", "0"], None, "--max-steps must be at least 1, got 0"),
-        (["--max-steps", "-5"], None, "--max-steps must be at least 1, got -5"),
-        (["--max-steps", "abc"], None, "--max-steps must be an integer, got 'abc'"),
+        (["--max-steps", "0"], "--max-steps must be at least 1, got 0"),
+        (["--max-steps", "-5"], "--max-steps must be at least 1, got -5"),
+        (["--max-steps", "abc"], "--max-steps must be an integer, got 'abc'"),
     ],
 )
-def test_bad_step_budget_is_an_input_error(capsys, loop_file, monkeypatch, argv_tail, env, message):
-    if env is not None:
-        monkeypatch.setenv("MONOTERM_MAX_STEPS", env)
+def test_bad_step_budget_is_an_input_error(capsys, loop_file, argv_tail, message):
     path = loop_file("up.loop", "init x = 1; while (x > 0) { x := x + 1; }")
     for command in (["analyze", str(path)], ["bench", str(path.parent)]):
         assert main(command + ["--oracle-check"] + argv_tail) == 3

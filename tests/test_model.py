@@ -54,6 +54,7 @@ PUBLIC_NAMES = [
     "SinglePathLoop",
     "TerminatedIn",
     "Terminating",
+    "UnboundVariableError",
     "Unsupported",
     "Update",
     "Verdict",
@@ -64,7 +65,6 @@ PUBLIC_NAMES = [
     "decide_diagonal_program",
     "decide_multipath",
     "decide_single",
-    "nt_formula",
     "parse",
     "print_program",
     "run",

@@ -6,7 +6,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from monoterm import (
-    AnalysisError,
     CycleDetected,
     CycleWitness,
     Direction,
@@ -23,7 +22,6 @@ from monoterm import (
     classify,
     decide,
     decide_single,
-    nt_formula,
     run,
 )
 from monoterm import multipath as multipath_module
@@ -34,6 +32,7 @@ from monoterm.multipath import (
     accelerated_walk,
     case_row,
     formula_applies,
+    nt_formula,
 )
 from monoterm.parser import parse
 
@@ -90,11 +89,13 @@ def test_formula3_unsatisfied_terminates():
     v = decide(program)
     assert v == Terminating(5)  # 2 -> 3 -> 4 -> 5 -> 6 -> -3
     assert run(program, 100) == TerminatedIn(5)
+    # nt_formula explains non-terminating walks only; a refuted formula is a fault
+    with pytest.raises(AssertionError, match="formula and walk disagree on row 1"):
+        nt_formula(1, program.shape, 2)
 
 
 def test_nt_formula_row17(example1):
-    satisfied, witness = nt_formula(17, example1.shape, 15)
-    assert satisfied
+    witness = nt_formula(17, example1.shape, 15)
     assert witness.conjuncts == (("x0 >= c", True), ("x0 >= c1", True))
 
 
@@ -104,20 +105,45 @@ def test_nt_formula_row19():
     cls1 = classify(program.shape.then_update, 3)
     cls2 = classify(program.shape.else_update, 3)
     assert case_row(RelOp.LE, RelOp.GE, cls1.direction, cls2.direction) == 19
-    satisfied, _ = nt_formula(19, program.shape, 3)
-    assert satisfied
+    assert nt_formula(19, program.shape, 3).conjuncts == (("x0 <= c", True), ("x0 < c1", True))
     v = decide(program)
     assert isinstance(v, NonTerminating) and v.rule == "T3-row19"
     assert agreement_check(program, v).ok
 
 
-@pytest.mark.parametrize("row", [*range(21, 25), *range(29, 37)])
-def test_nt_formula_raises_analysis_error_on_rows_without_a_formula(row):
+@pytest.mark.parametrize("row", range(21, 25))
+def test_nt_formula_leaves_alternating_rows_to_the_walk(row):
     program = multipath_for_row(random.Random(row), row, 20)
     x0 = program.init["x"]
     assert not formula_applies(row, program.shape, x0)
-    with pytest.raises(AnalysisError):
-        nt_formula(row, program.shape, x0)
+    assert nt_formula(row, program.shape, x0) is None
+
+
+def _entering_loop(rng, row, bound=20):
+    """A loop of the row whose guard holds at x0."""
+    while True:
+        program = multipath_for_row(rng, row, bound)
+        guard = program.shape.guard
+        if guard.op.holds(program.init["x"], guard.bound):
+            return program
+
+
+@pytest.mark.parametrize("row", range(29, 37))
+def test_nt_formula_on_shared_direction_rows(row):
+    guard_below, _, direction, _ = ROW_KEYS[row]
+    program = _entering_loop(random.Random(row), row)
+    x0 = program.init["x"]
+    verdict = decide(program)
+    assert not formula_applies(row, program.shape, x0)
+    if guard_below == (direction is Direction.UP):  # the shared direction keeps the guard
+        assert verdict == NonTerminating(f"T3-row{row}", nt_formula(row, program.shape, x0))
+        assert verdict.witness.conjuncts[1] == (
+            f"both branches move {direction.value}, preserving the guard", True
+        )
+    else:
+        assert isinstance(verdict, Terminating)
+        with pytest.raises(AssertionError, match=f"walk diverges on row {row} against the guard"):
+            nt_formula(row, program.shape, x0)
 
 
 @pytest.mark.parametrize(
@@ -139,8 +165,7 @@ def test_row1_formula_does_not_apply_and_the_walk_witness_stands(text, cycle):
     program = parse(text)
     x0 = program.init["x"]
     assert not formula_applies(1, program.shape, x0)
-    with pytest.raises(AnalysisError):
-        nt_formula(1, program.shape, x0)
+    assert nt_formula(1, program.shape, x0) is None
     v = decide(program)
     assert v == NonTerminating("T3-row1", CycleWitness(cycle))
     assert agreement_check(program, v).ok
@@ -313,15 +338,52 @@ def test_all_rows_agree_with_the_oracle_on_loops_that_enter_their_body():
     rng = random.Random(20261018)
     for row, bound in itertools.product(range(1, 37), (20, 2000)):
         for _ in range(15):
-            while True:
-                program = multipath_for_row(rng, row, bound)
-                guard = program.shape.guard
-                if guard.op.holds(program.init["x"], guard.bound):
-                    break
+            program = _entering_loop(rng, row, bound)
             verdict = decide(program)
             assert not isinstance(verdict, Unsupported), (row, program)
             agreement = agreement_check(program, verdict, 10**6)
             assert agreement.ok, (row, program, verdict, agreement)
+
+
+def _row_sample(seed):
+    """25 loops of each Table 3 row that enter their body, with their row."""
+    rng = random.Random(seed)
+    for row in range(1, 37):
+        for _ in range(25):
+            yield row, _entering_loop(rng, row)
+
+
+def _counting(calls, name, real):
+    def wrapper(*args):
+        calls[name] += 1
+        return real(*args)
+
+    return wrapper
+
+
+def test_a_decision_makes_one_explanation_call(monkeypatch):
+    calls = {"nt_formula": 0, "formula_applies": 0}
+    for name in calls:
+        monkeypatch.setattr(
+            multipath_module, name, _counting(calls, name, getattr(multipath_module, name))
+        )
+    for row, program in _row_sample(20261019):
+        calls.update(nt_formula=0, formula_applies=0)
+        verdict = decide(program)
+        # nt_formula runs once, after a non-terminating walk only
+        assert calls["nt_formula"] == isinstance(verdict, NonTerminating), (row, program)
+        assert calls["formula_applies"] <= 1, (row, program)
+
+
+def test_every_formula_witness_is_satisfied():
+    formulas = 0
+    for row, program in _row_sample(20261020):
+        verdict = decide(program)
+        if isinstance(verdict, NonTerminating) and isinstance(verdict.witness, FormulaWitness):
+            assert verdict.witness.disjunct >= 0, (row, program)
+            assert all(holds for _, holds in verdict.witness.conjuncts), (row, program)
+            formulas += 1
+    assert formulas >= 300
 
 
 # --- Alternating branches: the walk and the recurrent interval -----------

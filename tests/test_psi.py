@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_first_falsifier
 from monoterm import AnalysisError, RelOp, Update
-from monoterm.psi import escape_region, psi_a, psi_prime_a
+from monoterm.psi import escape_region
 
 
 def escape(d, bound, op, upd):
@@ -12,27 +12,26 @@ def escape(d, bound, op, upd):
     return escape_region(d, upd, op.bounded_above, op.limit(bound))
 
 
-def test_psi_a_examples():
-    assert psi_a(3, 5, 2, RelOp.LE) == 7
-    assert psi_a(0, 5, 2, RelOp.LE) == 6
-    assert psi_a(0, 5, 2, RelOp.LT) == 6
-
-
-def test_psi_prime_a_examples():
-    assert psi_prime_a(10, 5, 2, RelOp.GE) == 4
+def test_escape_region_arithmetic_examples():
+    # the paper's psi_a, going up by v while x <= c1 or x < c1
+    assert escape(3, 5, RelOp.LE, Update(1, 2)) == (7, 2)
+    assert escape(0, 5, RelOp.LE, Update(1, 2)) == (6, 3)
+    assert escape(0, 5, RelOp.LT, Update(1, 2)) == (6, 3)
+    # and psi'_a, going down by v while x >= c1 or x > c1
+    assert escape(10, 5, RelOp.GE, Update(1, -2)) == (4, 3)
     # brute force: 9 -> 7 -> 5 -> 3; 5 >= 5 still holds, so 3 is the falsifier
     assert brute_first_falsifier(9, 5, -2, RelOp.GE) == 3
-    assert psi_prime_a(9, 5, 2, RelOp.GE) == 3
-    assert psi_prime_a(6, 5, 1, RelOp.GT) == 5
+    assert escape(9, 5, RelOp.GE, Update(1, -2)) == (3, 3)
+    assert escape(6, 5, RelOp.GT, Update(1, -1)) == (5, 1)
 
 
-def test_psi_iter_examples():
+def test_escape_region_geometric_examples():
     assert escape(1, 5, RelOp.LE, Update(2, 0)) == (8, 3)
     assert escape(1, 5, RelOp.LT, Update(2, 1)) == (7, 2)
     assert escape(-1, -10, RelOp.GE, Update(2, 0)) == (-16, 4)
 
 
-def test_psi_iter_rejects_non_escaping_orbit():
+def test_escape_region_rejects_doubling_away_from_the_limit():
     # doubling a negative never exceeds 5; doubling a positive never drops below 0
     with pytest.raises(AnalysisError):
         escape(-4, 5, RelOp.LE, Update(2, 0))
@@ -41,52 +40,28 @@ def test_psi_iter_rejects_non_escaping_orbit():
 
 
 def test_psi_preconditions():
-    with pytest.raises(AnalysisError):
-        psi_a(9, 5, 2, RelOp.LE)  # start already violates
-    with pytest.raises(AnalysisError):
-        psi_a(3, 5, 0, RelOp.LE)
-    with pytest.raises(AnalysisError):
-        psi_a(3, 5, 2, RelOp.GE)  # wrong bound direction
-    with pytest.raises(AnalysisError):
-        psi_prime_a(1, 5, 2, RelOp.GE)
-    for op in (RelOp.LT, RelOp.LE):  # wrong bound direction
+    # steps that move away from the limit, or not at all: test_escape_region_trapped_directions
+    for d, bound, op, upd in (
+        (9, 5, RelOp.LE, Update(1, 2)),  # start already violates
+        (1, 5, RelOp.GE, Update(1, -2)),
+        (9, 5, RelOp.GE, Update(1, 0)),  # no step
+        (3, 5, RelOp.LE, Update(0, 9)),  # a constant assignment is no orbit
+    ):
         with pytest.raises(AnalysisError):
-            psi_prime_a(1, 5, 2, op)
-    for step in (0, -2):
-        with pytest.raises(AnalysisError):
-            psi_prime_a(9, 5, step, RelOp.GE)
-    with pytest.raises(AnalysisError):
-        escape_region(9, Update(1, 2), True, 5)  # start outside the region
-    with pytest.raises(AnalysisError):
-        escape_region(3, Update(0, 9), True, 5)  # a constant assignment is no orbit
+            escape(d, bound, op, upd)
 
 
-up_ops = st.sampled_from((RelOp.LT, RelOp.LE))
-down_ops = st.sampled_from((RelOp.GT, RelOp.GE))
-
-
-@given(st.integers(-80, 80), st.integers(-40, 40), st.integers(1, 15), up_ops)
-def test_psi_a_matches_brute_force(d, c1, v, op):
+@given(st.integers(-80, 80), st.integers(-40, 40), st.integers(1, 15), st.sampled_from(list(RelOp)))
+def test_escape_region_arithmetic_matches_brute_force(d, c1, v, op):
+    # psi_a steps up by v under < and <=, psi'_a down by v under > and >=
     if not op.holds(d, c1):
         return
-    expected = brute_first_falsifier(d, c1, v, op)
-    result = psi_a(d, c1, v, op)
-    assert result == expected
+    step = v if op.bounded_above else -v
+    result, n = escape(d, c1, op, Update(1, step))
+    assert result == brute_first_falsifier(d, c1, step, op)
     assert not op.holds(result, c1)
-    assert op.holds(result - v, c1)
-    assert (result - d) % v == 0
-
-
-@given(st.integers(-80, 80), st.integers(-40, 40), st.integers(1, 15), down_ops)
-def test_psi_prime_a_matches_brute_force(d, c1, step, op):
-    if not op.holds(d, c1):
-        return
-    expected = brute_first_falsifier(d, c1, -step, op)
-    result = psi_prime_a(d, c1, step, op)
-    assert result == expected
-    assert not op.holds(result, c1)
-    assert op.holds(result + step, c1)
-    assert (d - result) % step == 0
+    assert op.holds(result - step, c1)
+    assert result == d + n * step
 
 
 @given(
