@@ -12,12 +12,15 @@ def escape(d, bound, op, upd):
     return escape_region(d, upd, op.bounded_above, op.limit(bound))
 
 
-def test_escape_region_arithmetic_examples():
-    # the paper's psi_a, going up by v while x <= c1 or x < c1
+def test_psi_a_examples():
+    # the paper's psi_a: escape_region going up by v while x <= c1 or x < c1
     assert escape(3, 5, RelOp.LE, Update(1, 2)) == (7, 2)
     assert escape(0, 5, RelOp.LE, Update(1, 2)) == (6, 3)
     assert escape(0, 5, RelOp.LT, Update(1, 2)) == (6, 3)
-    # and psi'_a, going down by v while x >= c1 or x > c1
+
+
+def test_psi_prime_a_examples():
+    # the paper's psi'_a: escape_region going down by v while x >= c1 or x > c1
     assert escape(10, 5, RelOp.GE, Update(1, -2)) == (4, 3)
     # brute force: 9 -> 7 -> 5 -> 3; 5 >= 5 still holds, so 3 is the falsifier
     assert brute_first_falsifier(9, 5, -2, RelOp.GE) == 3
@@ -51,17 +54,30 @@ def test_psi_preconditions():
             escape(d, bound, op, upd)
 
 
-@given(st.integers(-80, 80), st.integers(-40, 40), st.integers(1, 15), st.sampled_from(list(RelOp)))
-def test_escape_region_arithmetic_matches_brute_force(d, c1, v, op):
-    # psi_a steps up by v under < and <=, psi'_a down by v under > and >=
+up_ops = st.sampled_from((RelOp.LT, RelOp.LE))
+down_ops = st.sampled_from((RelOp.GT, RelOp.GE))
+
+
+@given(st.integers(-80, 80), st.integers(-40, 40), st.integers(1, 15), up_ops)
+def test_psi_a_matches_brute_force(d, c1, v, op):
     if not op.holds(d, c1):
         return
-    step = v if op.bounded_above else -v
-    result, n = escape(d, c1, op, Update(1, step))
-    assert result == brute_first_falsifier(d, c1, step, op)
+    result, n = escape(d, c1, op, Update(1, v))
+    assert result == brute_first_falsifier(d, c1, v, op)
     assert not op.holds(result, c1)
-    assert op.holds(result - step, c1)
-    assert result == d + n * step
+    assert op.holds(result - v, c1)
+    assert result == d + n * v
+
+
+@given(st.integers(-80, 80), st.integers(-40, 40), st.integers(1, 15), down_ops)
+def test_psi_prime_a_matches_brute_force(d, c1, step, op):
+    if not op.holds(d, c1):
+        return
+    result, n = escape(d, c1, op, Update(1, -step))
+    assert result == brute_first_falsifier(d, c1, -step, op)
+    assert not op.holds(result, c1)
+    assert op.holds(result + step, c1)
+    assert result == d - n * step
 
 
 @given(
