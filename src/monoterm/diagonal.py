@@ -1,10 +1,13 @@
 """Decision procedure for diagonal-guard loops: while (x - y op c) { ... }.
 
-Loops are first normalized so the guard bounds the gap x - y from below
-(op in {>, >=}).  A constant side leaves one moving variable, x rising
-while y falls never exits, and two arithmetic sides give an arithmetic
-gap.  Every other pair runs one engine, the committed-gap run over the
-exact iterates, with its rule and stopping condition taken from a table.
+decide_diagonal_program is the one decider.  It normalizes the loop so the
+guard bounds the gap x - y from below (op in {>, >=}), reads the guard as
+the inclusive integer limit x - y >= low once, and takes the cases in
+order: a constant side leaves one moving variable, x rising while y falls
+never exits, and two arithmetic sides give an arithmetic gap.  Every other
+pair runs one engine, the committed-gap run over the exact iterates, which
+looks its rule and stopping condition up in a table.  The only cycle
+witness, both sides pinned, is built in the loop's own variable order.
 
 The run certifies non-termination with two ingredients: the stopping
 condition for the class pair (which names the divergence pattern) and a
@@ -104,31 +107,38 @@ def normalize_direction(loop: DiagonalLoop) -> DiagonalLoop:
 def decide_diagonal_program(
     loop: DiagonalLoop, init: Env, search_budget: int = SEARCH_BUDGET
 ) -> Verdict:
-    """Normalize, test the guard at iteration 0, classify both updates, and decide."""
+    """Normalize, test the guard at iteration 0, classify both updates, and
+    take the cases in order: a pinned side, opposite directions, an
+    arithmetic gap, then the committed-gap run."""
     norm = normalize_direction(loop)
-    x0, y0 = init[norm.guard.lhs], init[norm.guard.rhs]
-    if not norm.guard.op.holds(x0 - y0, norm.guard.bound):
-        return Terminating(0)
-    cls_x = classify(norm.lhs_update, x0)
-    cls_y = classify(norm.rhs_update, y0)
-    verdict = _decide(norm, cls_x, cls_y, x0, y0, search_budget)
-    if norm is not loop and isinstance(verdict, NonTerminating) and isinstance(
-        verdict.witness, CycleWitness
-    ):
-        unswapped = tuple((b, a) for a, b in verdict.witness.values)
-        verdict = NonTerminating(verdict.rule, CycleWitness(unswapped, verdict.witness.procedure))
-    return verdict
-
-
-def _decide(
-    norm: DiagonalLoop, cls_x: MonotoneClass, cls_y: MonotoneClass, x0: int, y0: int, budget: int
-) -> Verdict:
-    """Decide a normalized diagonal loop (guard op in {>, >=})."""
     c = norm.guard.bound
     low = norm.guard.op.limit(c)  # the guard holds while x - y >= low
+    x0, y0 = init[norm.guard.lhs], init[norm.guard.rhs]
+    if x0 - y0 < low:
+        return Terminating(0)
+    upd_x, upd_y = norm.lhs_update, norm.rhs_update
+    cls_x, cls_y = classify(upd_x, x0), classify(upd_y, y0)
     dir_x, dir_y = cls_x.direction, cls_y.direction
     if Direction.FLAT in (dir_x, dir_y):
-        return _decide_with_pinned(norm, cls_x, cls_y, x0, y0)
+        # One concrete step lands direct assignments on their pinned value (the
+        # first application of x := b may jump), after which the gap moves with
+        # the non-pinned side only, or not at all.
+        x1, y1 = upd_x.apply(x0), upd_y.apply(y0)
+        if x1 - y1 < low:
+            return Terminating(1)
+        if dir_x is dir_y:  # both pinned: a one-state cycle, in the loop's own order
+            state = (x1, y1) if norm is loop else (y1, x1)
+            return NonTerminating(RULE_PINNED, CycleWitness((state,)))
+        if dir_x is Direction.UP or dir_y is Direction.DOWN:  # the gap rises
+            return NonTerminating(
+                RULE_PINNED,
+                DivergenceWitness(1, "gap moves away from the bound beside a pinned variable"),
+            )
+        if dir_x is Direction.FLAT:  # y rises past x1 - low
+            _, steps = escape_region(y1, upd_y, True, x1 - low)
+        else:  # x falls past low + y1
+            _, steps = escape_region(x1, upd_x, False, low + y1)
+        return Terminating(1 + steps)
     if dir_x is Direction.UP and dir_y is Direction.DOWN:
         return NonTerminating(
             RULE_OPPOSITE,
@@ -140,9 +150,7 @@ def _decide(
                 bindings=(("x0", x0), ("y0", y0), ("c", c)),
             ),
         )
-    upd_x, upd_y = norm.lhs_update, norm.rhs_update
-    u1, u2 = upd_x.coeff, upd_y.coeff
-    if u1 == u2 == 1:
+    if upd_x.coeff == upd_y.coeff == 1:
         # the gap moves by v1 - v2 each step
         v1, v2 = upd_x.offset, upd_y.offset
         if v1 < v2:
@@ -159,34 +167,32 @@ def _decide(
                 bindings=(("v1", v1), ("v2", v2)),
             ),
         )
-    rule, condition, stop = _RUN_RULES.get((cls_x.kind, cls_y.kind, dir_x), _NO_RULE)
-    cmp = ">=" if u1 >= u2 else "<"
-    condition = condition.format(u1=u1, u2=u2, cmp=cmp, direction=dir_x.value)
-    return _committed_gap_run(upd_x, upd_y, x0, y0, low, c, rule, condition, stop, budget)
+    return _committed_gap_run(norm, cls_x, cls_y, x0, y0, low, search_budget)
 
 
 def _committed_gap_run(
-    upd_x: Update,
-    upd_y: Update,
+    norm: DiagonalLoop,
+    cls_x: MonotoneClass,
+    cls_y: MonotoneClass,
     x0: int,
     y0: int,
     low: int,
-    c: int,
-    rule: str,
-    condition: str,
-    stop: _Stop | None,
     budget: int,
 ) -> Verdict:
     """Exact search: terminate at guard violation, certify divergence at the
-    first committed iterate where the stopping condition holds.
+    first committed iterate where the class pair's stopping condition holds.
 
     The guard is x - y >= low; the stopping conditions read the bound c.
     Both coefficients are >= 1 here.  When x moves linearly (T2 rows 1-2)
     it falls below zero only linearly fast, so once everything but x < 0
-    holds, the first qualifying iteration is computed closed-form instead
-    of simulated.
+    holds, escape_region gives the first qualifying iteration instead of
+    simulating it.
     """
+    upd_x, upd_y, c = norm.lhs_update, norm.rhs_update, norm.guard.bound
     u1, u2 = upd_x.coeff, upd_y.coeff
+    rule, condition, stop = _RUN_RULES.get((cls_x.kind, cls_y.kind, cls_x.direction), _NO_RULE)
+    cmp = ">=" if u1 >= u2 else "<"
+    condition = condition.format(u1=u1, u2=u2, cmp=cmp, direction=cls_x.direction.value)
     dx0 = upd_x.first_difference(x0)
     dy0 = upd_y.first_difference(y0)
     if u1 > u2:
@@ -208,38 +214,6 @@ def _committed_gap_run(
         if stop is None or stop(x, y, c):
             return NonTerminating(rule, DivergenceWitness(n, condition))
         if u1 == 1 and y < x - c and y < 0 <= x:
-            extra = x // -upd_x.offset + 1  # first k with x + v1*k < 0
+            _, extra = escape_region(x, upd_x, False, 0)  # first k with x + v1*k < 0
             return NonTerminating(rule, DivergenceWitness(n + extra, condition))
     return Unsupported(f"search budget of {budget} iterations exceeded", "budget")
-
-
-def _decide_with_pinned(
-    norm: DiagonalLoop, cls_x: MonotoneClass, cls_y: MonotoneClass, x0: int, y0: int
-) -> Verdict:
-    """At least one side has a constant orbit.
-
-    One concrete step lands direct assignments on their pinned value (the
-    first application of x := b may jump), after which the gap moves with
-    the non-pinned side only, or not at all.
-    """
-    low = norm.guard.op.limit(norm.guard.bound)
-    x1, y1 = norm.lhs_update.apply(x0), norm.rhs_update.apply(y0)
-    if x1 - y1 < low:
-        return Terminating(1)
-    dir_x, dir_y = cls_x.direction, cls_y.direction
-    if dir_x is Direction.FLAT and dir_y is Direction.FLAT:
-        return NonTerminating(RULE_PINNED, CycleWitness(((x1, y1),)))
-    if dir_x is Direction.FLAT:
-        gap_direction = Direction.UP if dir_y is Direction.DOWN else Direction.DOWN
-    else:
-        gap_direction = dir_x
-    if gap_direction is Direction.UP:
-        return NonTerminating(
-            RULE_PINNED,
-            DivergenceWitness(1, "gap moves away from the bound beside a pinned variable"),
-        )
-    if dir_x is Direction.FLAT:  # y rises past x1 - low
-        _, steps = escape_region(y1, norm.rhs_update, True, x1 - low)
-    else:  # x falls past low + y1
-        _, steps = escape_region(x1, norm.lhs_update, False, low + y1)
-    return Terminating(1 + steps)

@@ -158,6 +158,8 @@ def generate_corpus(
         raise ValueError("count must be >= 1")
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    if shape not in SHAPES + ("mix",):
+        raise ValueError(f"shape must be one of {', '.join(SHAPES)} or mix, not {shape!r}")
     rng = random.Random(seed)
     files = []
     for i in range(count):

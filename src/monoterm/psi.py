@@ -9,6 +9,11 @@ iteration for geometric/affine ones, which pass any bound within a
 logarithmic number of steps.  The paper's arithmetic first falsifiers, going
 up and going down by v, are its a == 1 case: escape_region(d, Update(1, v),
 True, limit) and escape_region(d, Update(1, -v), False, limit).
+
+Every first falsifier goes through escape_region, the diagonal run's jump
+to its first negative x included.  The multipath walk alone inlines the
+same arithmetic, once per jump, because the walk is the hot loop of
+alternating loops and a call per jump costs more than it saves.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import random
 
 from monoterm import (
     CycleDetected,
+    CycleWitness,
     DivergenceWitness,
     NonTerminating,
     RelOp,
@@ -16,6 +17,7 @@ from monoterm import (
 )
 from monoterm.diagonal import normalize_direction
 from monoterm.gen import diagonal_for_pair
+from monoterm.interpreter import step_values
 from monoterm.model import ClassKind, DiagonalFreeGuard
 from monoterm.parser import parse
 
@@ -159,6 +161,21 @@ def test_search_budget_exhaustion_reports_unsupported():
         assert decide(program) == Terminating(7)
 
 
+def test_search_rows_1_2_skip_to_the_first_negative_x():
+    # x falls linearly from 10**6 while y is already committed below it: the
+    # first iteration with x < 0 is computed, not simulated, so a budget of
+    # 1000 iterations is enough
+    program = diagonal(">=", 0, (1, -1), (2, 0), 10**6, -8)
+    v = decide(program, search_budget=1000)
+    assert v == NonTerminating("T2-row1", DivergenceWitness(1000001, "y < x - c, x < 0, y < 0"))
+    assert agreement_check(program, v).ok
+    program = diagonal(">", 3, (1, -7), (3, 5), 10**6, -4)
+    v = decide(program, search_budget=1000)
+    assert isinstance(v, NonTerminating) and v.rule == "T2-row2"
+    assert v.witness.iteration == 142858  # 10**6 - 7 * 142858 = -6
+    assert agreement_check(program, v).ok
+
+
 def test_linear_up_vs_exponential_up_terminates():
     program = diagonal(">", 0, (1, 3), (2, 0), 50, 1)
     v = decide(program)
@@ -186,6 +203,11 @@ def test_pinned_cases():
     # both pinned outside the guard: exits after the first jump
     program = diagonal(">", 0, (0, 3), (0, 7), 100, 1)
     assert decide(program) == Terminating(1)
+    # a < guard is decided on the mirrored gap y - x; the cycle names (x, y)
+    program = diagonal("<", 5, (0, 4), (0, 7), 0, 1)
+    v = decide(program)
+    assert v == NonTerminating("diag-const", CycleWitness(((4, 7),)))
+    assert step_values(program, v.witness.values[0]) == (4, 7)
 
 
 def test_identity_counts_as_pinned():

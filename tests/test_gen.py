@@ -26,6 +26,11 @@ def test_corpus_rejects_bound_or_count_below_one():
             generate_corpus(1, count, bound=bound)
 
 
+def test_corpus_rejects_unknown_shapes():
+    with pytest.raises(ValueError, match="'diagonals'"):
+        generate_corpus(1, 3, "diagonals")
+
+
 def test_corpus_parses():
     for name, text in generate_corpus(3, 60):
         program = parse(text)
