@@ -7,10 +7,12 @@ in a command or while writing its output, into one `error: internal:` line.
 `bench` lists bad files and goes on; it exits 3 on a command-line input
 error (a path that is not a directory included), 4 if any file hit an
 internal error, else 0.  `gen` exits 3, before it creates anything, when
---count or --bound is below 1, and exits 3 when it cannot write its output
-directory.  A verdict's integers may be wider than the parser's 4300-digit
-literal limit; `main` lifts the interpreter's int-to-str limit while a command
-runs, so they print in full.  Library callers must lift it themselves.
+--count or --bound is below 1 or --cover-rows comes with fewer than 36 files
+or a shape other than multipath or mix, and exits 3 when it cannot write its
+output directory.  A verdict's integers may be wider than the parser's
+4300-digit literal limit; `main` lifts the interpreter's int-to-str limit
+while a command runs, so they print in full.  Library callers must lift it
+themselves.
 Decision times cover the decider call only (never parsing or the oracle)
 and are reported in milliseconds with microsecond digits.
 """
@@ -24,7 +26,7 @@ import time
 from pathlib import Path
 
 from .analyzer import decide
-from .gen import SHAPES, generate_corpus
+from .gen import ROW_SHAPES, SHAPES, generate_corpus
 from .interpreter import (
     DEFAULT_MAX_STEPS,
     Agreement,
@@ -34,6 +36,7 @@ from .interpreter import (
     agreement_check,
 )
 from .model import Unsupported
+from .multipath import ROW_KEYS
 from .parser import ParseError, parse
 
 _INPUT_ERRORS = (ParseError, OSError, UnicodeDecodeError)  # a bad loop file: exit 3
@@ -190,6 +193,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
         if value < 1:
             print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
             return 3
+    if args.cover_rows and (args.count < len(ROW_KEYS) or args.shape not in ROW_SHAPES):
+        print(
+            f"error: --cover-rows needs --count {len(ROW_KEYS)} or more and --shape "
+            f"{' or '.join(ROW_SHAPES)}, got --count {args.count} --shape {args.shape}",
+            file=sys.stderr,
+        )
+        return 3
     outdir = Path(args.outdir)
     files = generate_corpus(args.seed, args.count, args.shape, args.bound, args.cover_rows)
     try:

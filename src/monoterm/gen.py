@@ -8,12 +8,14 @@ on the key's bound sides, and updates drawn until one has the key's
 direction, falling back to an arithmetic update (whose direction is
 choosable outright).  Only class-pair instances are verified: a draw
 can classify as constant (a geometric update at 0, an affine one at
-its fixed point) and is then drawn again.
+its fixed point) and is then drawn again.  `_update` is the one
+update drawer and `random_program` the one random-loop drawer.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from .classifier import classify
 from .model import (
@@ -32,9 +34,12 @@ from .multipath import ROW_KEYS
 from .parser import print_program
 
 SHAPES = ("single", "diagonal", "multipath")
+ROW_SHAPES = ("multipath", "mix")  # the corpus shapes that can cover every table row
 _BELOW_OPS = (RelOp.GT, RelOp.GE)
 _ABOVE_OPS = (RelOp.LT, RelOp.LE)
 _RATIOS = (2, 3)
+# the update kind drawn for each non-constant class of a class pair
+_PAIR_KINDS = {ClassKind.ARITHMETIC: "ra", ClassKind.GEOMETRIC: "rg", ClassKind.AFFINE: "i"}
 
 
 def _int(rng: random.Random, bound: int) -> int:
@@ -53,9 +58,8 @@ def _step_bound(bound: int) -> int:
     return min(bound, 100_000)
 
 
-def _classifiable_update(rng: random.Random, bound: int) -> Update:
-    """Any update the classifier accepts (coefficient >= 0)."""
-    kind = rng.choice(("const", "identity", "ra", "rg", "i"))
+def _update(rng: random.Random, kind: str, bound: int) -> Update:
+    """One update of a kind: const, identity, ra, rg or i (coefficient >= 0)."""
     if kind == "const":
         return Update(0, _int(rng, bound))
     if kind == "identity":
@@ -67,10 +71,15 @@ def _classifiable_update(rng: random.Random, bound: int) -> Update:
     return Update(rng.choice(_RATIOS), _nonzero(rng, _step_bound(bound)))
 
 
+def _classifiable_update(rng: random.Random, bound: int) -> Update:
+    """Any update the classifier accepts (coefficient >= 0)."""
+    return _update(rng, rng.choice(("const", "identity", "ra", "rg", "i")), bound)
+
+
 def _directed_update(rng: random.Random, want: Direction, x0: int, bound: int) -> Update:
     """An update whose direction from x0 is the wanted one.  Always succeeds."""
     if want is Direction.FLAT:
-        return Update(0, _int(rng, bound))
+        return _update(rng, "const", bound)
     for _ in range(64):
         upd = _classifiable_update(rng, bound)
         if upd.coeff != 0 and classify(upd, x0).direction is want:
@@ -79,34 +88,22 @@ def _directed_update(rng: random.Random, want: Direction, x0: int, bound: int) -
     return Update(1, step if want is Direction.UP else -step)
 
 
-def random_single(rng: random.Random, bound: int) -> LoopProgram:
-    guard = DiagonalFreeGuard("x", rng.choice(_BELOW_OPS + _ABOVE_OPS), _int(rng, bound))
-    return LoopProgram(
-        SinglePathLoop(guard, _classifiable_update(rng, bound)), {"x": _int(rng, bound)}
-    )
-
-
-def random_diagonal(rng: random.Random, bound: int) -> LoopProgram:
-    guard = DiagonalGuard("x", "y", rng.choice(_BELOW_OPS + _ABOVE_OPS), _int(rng, bound))
-    shape = DiagonalLoop(guard, _classifiable_update(rng, bound), _classifiable_update(rng, bound))
-    return LoopProgram(shape, {"x": _int(rng, bound), "y": _int(rng, bound)})
-
-
-def random_multipath(rng: random.Random, bound: int) -> LoopProgram:
-    guard = DiagonalFreeGuard("x", rng.choice(_BELOW_OPS + _ABOVE_OPS), _int(rng, bound))
-    cond = DiagonalFreeGuard("x", rng.choice(_BELOW_OPS + _ABOVE_OPS), _int(rng, bound))
-    shape = MultiPathLoop(
-        guard, cond, _classifiable_update(rng, bound), _classifiable_update(rng, bound)
-    )
-    return LoopProgram(shape, {"x": _int(rng, bound)})
-
-
 def random_program(rng: random.Random, shape: str, bound: int) -> LoopProgram:
-    if shape == "single":
-        return random_single(rng, bound)
+    """A random loop of one of SHAPES, with classifiable updates."""
+    if shape not in SHAPES:
+        raise ValueError(f"shape must be one of {', '.join(SHAPES)}, not {shape!r}")
+    upd = partial(_classifiable_update, rng, bound)
     if shape == "diagonal":
-        return random_diagonal(rng, bound)
-    return random_multipath(rng, bound)
+        guard = DiagonalGuard("x", "y", rng.choice(_BELOW_OPS + _ABOVE_OPS), _int(rng, bound))
+        loop = DiagonalLoop(guard, upd(), upd())
+        return LoopProgram(loop, {"x": _int(rng, bound), "y": _int(rng, bound)})
+    guard = DiagonalFreeGuard("x", rng.choice(_BELOW_OPS + _ABOVE_OPS), _int(rng, bound))
+    if shape == "single":
+        loop = SinglePathLoop(guard, upd())
+    else:
+        cond = DiagonalFreeGuard("x", rng.choice(_BELOW_OPS + _ABOVE_OPS), _int(rng, bound))
+        loop = MultiPathLoop(guard, cond, upd(), upd())
+    return LoopProgram(loop, {"x": _int(rng, bound)})
 
 
 def multipath_for_row(rng: random.Random, row: int, bound: int) -> LoopProgram:
@@ -129,12 +126,8 @@ def diagonal_for_pair(
 
     def candidate(kind: ClassKind) -> Update:
         if kind is ClassKind.CONSTANT:
-            return rng.choice((Update(0, _int(rng, bound)), Update(1, 0)))
-        if kind is ClassKind.ARITHMETIC:
-            return Update(1, _nonzero(rng, max(1, _step_bound(bound) // 2)))
-        if kind is ClassKind.GEOMETRIC:
-            return Update(rng.choice(_RATIOS), 0)
-        return Update(rng.choice(_RATIOS), _nonzero(rng, _step_bound(bound)))
+            return rng.choice((_update(rng, "const", bound), Update(1, 0)))
+        return _update(rng, _PAIR_KINDS[kind], bound)
 
     for _ in range(256):
         x0, y0 = _int(rng, bound), _int(rng, bound)
@@ -160,10 +153,12 @@ def generate_corpus(
         raise ValueError("bound must be >= 1")
     if shape not in SHAPES + ("mix",):
         raise ValueError(f"shape must be one of {', '.join(SHAPES)} or mix, not {shape!r}")
+    if cover_rows and (count < len(ROW_KEYS) or shape not in ROW_SHAPES):
+        raise ValueError(f"cover_rows needs count >= {len(ROW_KEYS)} and shape in {ROW_SHAPES}")
     rng = random.Random(seed)
     files = []
     for i in range(count):
-        if cover_rows and shape in ("multipath", "mix") and i < 36:
+        if cover_rows and i < len(ROW_KEYS):
             kind = "multipath"
             program = multipath_for_row(rng, i + 1, bound)
         else:

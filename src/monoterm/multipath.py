@@ -340,7 +340,8 @@ def accelerated_walk(
             # first value outside the branch's region, and the step count.
             # This is escape_region's arithmetic, inlined on purpose: calling
             # escape_region for every jump raised the per-file p99 decision
-            # time on the perfbench alternation corpus by about a third.
+            # time on the perfbench alternation corpus by 17-22% (ROADMAP
+            # aim 2, Issue 19 status, "Do not retry").
             if a == 0:
                 nxt, n = b, 1
             elif a == 1:  # one step past the last in-region value

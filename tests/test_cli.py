@@ -263,6 +263,16 @@ def test_bench_on_a_missing_path_or_a_file_is_an_input_error(capsys, tmp_path, l
         (["--count", "20", "--bound", "-3"], "--bound must be at least 1, got -3"),
         (["--count", "0"], "--count must be at least 1, got 0"),
         (["--count", "-2"], "--count must be at least 1, got -2"),
+        (
+            ["--count", "10", "--shape", "multipath", "--cover-rows"],
+            "--cover-rows needs --count 36 or more and --shape multipath or mix,"
+            " got --count 10 --shape multipath",
+        ),
+        (
+            ["--count", "36", "--shape", "diagonal", "--cover-rows"],
+            "--cover-rows needs --count 36 or more and --shape multipath or mix,"
+            " got --count 36 --shape diagonal",
+        ),
     ],
 )
 def test_gen_rejects_bad_count_or_bound_before_writing(capsys, tmp_path, argv_tail, message):
@@ -271,6 +281,20 @@ def test_gen_rejects_bad_count_or_bound_before_writing(capsys, tmp_path, argv_ta
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+    assert not outdir.exists()
+
+
+def test_a_value_error_while_drawing_exits_4(capsys, tmp_path, monkeypatch):
+    # only gen's own argument checks are input errors, not a fault in the generator
+    def fault(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("monoterm.gen.random_program", fault)
+    outdir = tmp_path / "out"
+    assert main(["gen", str(outdir), "--seed", "1", "--count", "3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: ValueError: boom\n"
     assert not outdir.exists()
 
 

@@ -29,6 +29,17 @@ def test_corpus_rejects_bound_or_count_below_one():
 def test_corpus_rejects_unknown_shapes():
     with pytest.raises(ValueError, match="'diagonals'"):
         generate_corpus(1, 3, "diagonals")
+    with pytest.raises(ValueError, match="'diagonals'"):
+        random_program(random.Random(1), "diagonals", 20)
+
+
+@pytest.mark.parametrize(
+    "count, shape", [(10, "multipath"), (35, "mix"), (36, "diagonal"), (50, "single")]
+)
+def test_cover_rows_rejects_too_few_files_or_a_shape_without_multipath(count, shape):
+    # either would leave some case-table row without an instance
+    with pytest.raises(ValueError, match="cover_rows needs count >= 36"):
+        generate_corpus(7, count, shape, 20, True)
 
 
 def test_corpus_parses():

@@ -12,13 +12,7 @@ import random
 from functools import cache
 
 from monoterm import ClassKind, RecurrentWitness, decide, parse
-from monoterm.gen import (
-    diagonal_for_pair,
-    multipath_for_row,
-    random_diagonal,
-    random_multipath,
-    random_single,
-)
+from monoterm.gen import diagonal_for_pair, multipath_for_row, random_program
 
 ROWS = (21, 22, 23, 24)
 
@@ -106,7 +100,8 @@ def _all_row_verdicts() -> tuple:
 @cache
 def _random_multipath_verdicts() -> tuple:
     return tuple(
-        decide(random_multipath(random.Random(seed), 2000)) for seed in RANDOM_MULTIPATH_SEEDS
+        decide(random_program(random.Random(seed), "multipath", 2000))
+        for seed in RANDOM_MULTIPATH_SEEDS
     )
 
 
@@ -155,14 +150,15 @@ def test_diagonal_class_pair_output_is_pinned():
 
 def test_random_diagonal_output_is_pinned():
     verdicts = [
-        decide(random_diagonal(random.Random(seed), 10**6)) for seed in RANDOM_DIAGONAL_SEEDS
+        decide(random_program(random.Random(seed), "diagonal", 10**6))
+        for seed in RANDOM_DIAGONAL_SEEDS
     ]
     assert _digest(verdicts) == RANDOM_DIAGONAL_SHA256
 
 
 def test_random_single_output_is_pinned():
     verdicts = [
-        decide(random_single(random.Random(seed), bound))
+        decide(random_program(random.Random(seed), "single", bound))
         for bound in (20, 10**6)
         for seed in RANDOM_SINGLE_SEEDS
     ]
