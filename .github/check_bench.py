@@ -3,9 +3,11 @@
     python3 .github/check_bench.py BENCH_JSON [--records N] [--recurrent]
 
 Exits 1 when there are no records, when a record holds an error, an
-oracle disagreement or a formula witness that is not satisfied (a negative
-disjunct or a false conjunct), when --records is given and the record
-count differs, or when --recurrent is given and no witness is a recurrent
+oracle disagreement, a formula witness that is not satisfied (a negative
+disjunct or a false conjunct) or a procedure that is not its rule's (a
+non-terminating witness names "alg3" exactly on T3-row21-22 and "alg4"
+exactly on T3-row23-24), when --records is given and the record count
+differs, or when --recurrent is given and no witness is a recurrent
 interval.
 """
 
@@ -13,12 +15,22 @@ import argparse
 import json
 import sys
 
+#: Rule -> the fixed-point search its witness names; other rules name none.
+PROCEDURES = {"T3-row21": "alg3", "T3-row22": "alg3", "T3-row23": "alg4", "T3-row24": "alg4"}
+
 
 def refuted(witness: dict | None) -> bool:
     """True for a formula witness that does not show a satisfied disjunct."""
     if not witness or witness.get("kind") != "formula":
         return False
     return witness["disjunct"] < 0 or not all(value is True for _, value in witness["conjuncts"])
+
+
+def misnamed(record: dict) -> bool:
+    """True for a non-terminating record whose procedure is not its rule's."""
+    if record.get("verdict") != "nonterminating":
+        return False
+    return record["witness"].get("procedure") != PROCEDURES.get(record["rule"])
 
 
 def main() -> int:
@@ -31,11 +43,16 @@ def main() -> int:
         records = json.load(f)
     bad = [
         r for r in records
-        if "error" in r or r.get("oracle", {}).get("agrees") is False or refuted(r.get("witness"))
+        if "error" in r
+        or r.get("oracle", {}).get("agrees") is False
+        or refuted(r.get("witness"))
+        or misnamed(r)
     ]
     recurrent = [r for r in records if (r.get("witness") or {}).get("kind") == "recurrent"]
-    print(f"{len(records)} records, {len(bad)} with an error, an oracle disagreement or an "
-          f"unsatisfied formula, {len(recurrent)} with a recurrent interval")
+    procedures = [r for r in records if (r.get("witness") or {}).get("procedure")]
+    print(f"{len(records)} records, {len(bad)} with an error, an oracle disagreement, an "
+          f"unsatisfied formula or a procedure not its rule's, {len(procedures)} naming a "
+          f"procedure, {len(recurrent)} with a recurrent interval")
     for record in bad:
         print(record)
     ok = (

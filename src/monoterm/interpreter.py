@@ -161,6 +161,14 @@ def _run_pair(x, y, sign, low, lhs, rhs, max_steps, window) -> OracleResult:
             )
 
 
+def _summary(result: CycleDetected | BoundExhausted) -> str:
+    """A run that did not exit, by its counts only, which max_steps bounds:
+    its values may be too wide for str() under the default int-to-str limit."""
+    if isinstance(result, CycleDetected):
+        return f"CycleDetected(period={result.period}, entry_step={result.entry.step})"
+    return f"BoundExhausted(steps={result.steps}, monotone_escape={result.monotone_escape})"
+
+
 class Agreement(NamedTuple):
     ok: bool
     note: str | None
@@ -178,6 +186,7 @@ def agreement_check(
     budget (flagged as unconfirmed termination); NonTerminating verdicts,
     run with DIVERGENCE_WINDOW, must either cycle or exhaust the budget,
     the latter flagged as unconfirmed/consistent divergence, not proof.
+    A disagreement's details name only counts bounded by max_steps.
     """
     if isinstance(verdict, Unsupported):
         raise ValueError("agreement_check needs a Terminating or NonTerminating verdict")
@@ -186,17 +195,13 @@ def agreement_check(
         if isinstance(result, TerminatedIn):
             if verdict.iterations != result.steps:
                 return Agreement(
-                    False,
-                    None,
-                    result,
-                    f"iteration count mismatch: decided {verdict.iterations}, "
-                    f"oracle ran {result.steps}",
+                    False, None, result, f"iteration count mismatch: oracle ran {result.steps}"
                 )
             return Agreement(True, None, result)
         if isinstance(result, BoundExhausted) and verdict.iterations > max_steps:
             # the exit lies past the oracle's budget: nothing to contradict
             return Agreement(True, "unconfirmed termination", result)
-        return Agreement(False, None, result, f"decided terminating, oracle saw {result}")
+        return Agreement(False, None, result, f"decided terminating, oracle saw {_summary(result)}")
     result = run(p, max_steps, divergence_window=DIVERGENCE_WINDOW)
     if isinstance(result, CycleDetected):
         return Agreement(True, None, result)

@@ -221,7 +221,6 @@ class CycleWitness(NamedTuple):
     """
 
     values: tuple  # ints for one-variable loops, (x, y) pairs for diagonal
-    procedure: str | None = None
     sparse: bool = False
 
     @property
@@ -235,8 +234,6 @@ class CycleWitness(NamedTuple):
             out["sparse"] = True
         else:
             out["period"] = self.period
-        if self.procedure:
-            out["procedure"] = self.procedure
         return out
 
 
@@ -246,13 +243,9 @@ class DivergenceWitness(NamedTuple):
 
     iteration: int
     condition: str
-    procedure: str | None = None
 
     def to_json(self) -> dict:
-        out = {"kind": "divergence", "iteration": self.iteration, "condition": self.condition}
-        if self.procedure:
-            out["procedure"] = self.procedure
-        return out
+        return {"kind": "divergence", "iteration": self.iteration, "condition": self.condition}
 
 
 class RecurrentWitness(NamedTuple):
@@ -263,18 +256,14 @@ class RecurrentWitness(NamedTuple):
     interval: tuple[int, int]
     entry: int
     iteration: int
-    procedure: str | None = None
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "kind": "recurrent",
             "interval": list(self.interval),
             "entry": self.entry,
             "iteration": self.iteration,
         }
-        if self.procedure:
-            out["procedure"] = self.procedure
-        return out
 
 
 Witness = Union[FormulaWitness, CycleWitness, DivergenceWitness, RecurrentWitness]
@@ -293,15 +282,19 @@ class Terminating(NamedTuple):
 
 
 class NonTerminating(NamedTuple):
+    """The rule that decided non-termination and its witness; on Table 3's
+    rows 21-24, procedure names the fixed-point search, "alg3" or "alg4",
+    which the JSON witness carries as its last key."""
+
     rule: str
     witness: Witness
+    procedure: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "verdict": "nonterminating",
-            "rule": self.rule,
-            "witness": self.witness.to_json(),
-        }
+        witness = self.witness.to_json()
+        if self.procedure:
+            witness["procedure"] = self.procedure
+        return {"verdict": "nonterminating", "rule": self.rule, "witness": witness}
 
 
 class Unsupported(NamedTuple):

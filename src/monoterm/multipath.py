@@ -39,11 +39,11 @@ from .model import (
     NonMonotoneUpdateError,
     NonTerminating,
     RecurrentWitness,
-    RelOp,
     Terminating,
     Unsupported,
     Update,
     Verdict,
+    Witness,
 )
 from .psi import escape_region
 
@@ -100,9 +100,12 @@ ROW_KEYS: dict[int, tuple[bool, bool, Direction, Direction]] = {
 }
 
 
-def case_row(phi_op: RelOp, cond_op: RelOp, dir1: Direction, dir2: Direction) -> int:
-    """Case-table row for the syntactic case; total over all 36 combinations."""
-    return CASE_ROWS[phi_op.bounded_below, cond_op.bounded_below, dir1, dir2]
+def case_row(loop: MultiPathLoop, x0: int) -> int:
+    """The loop's Table 3 row at x0, from both branches' classes at x0 (a
+    negative coefficient that moves x0 raises NonMonotoneUpdateError)."""
+    dir1 = classify(loop.then_update, x0).direction
+    dir2 = classify(loop.else_update, x0).direction
+    return CASE_ROWS[loop.guard.op.bounded_below, loop.branch_cond.op.bounded_below, dir1, dir2]
 
 
 # --- Non-termination formulas -----------------------------------------------
@@ -243,7 +246,7 @@ def _branches(loop: MultiPathLoop) -> tuple[_Branch, _Branch]:
 
 
 def _cycle_witness(
-    branches: tuple[_Branch, _Branch], switch_values: list[int], period: int, procedure: str | None
+    branches: tuple[_Branch, _Branch], switch_values: list[int], period: int
 ) -> CycleWitness:
     """Cycle witness from the branch-switch values of one turn of the cycle.
 
@@ -253,7 +256,7 @@ def _cycle_witness(
     the first one.
     """
     if period > _CYCLE_EXPANSION_CAP:
-        return CycleWitness(tuple(switch_values), procedure, sparse=True)
+        return CycleWitness(tuple(switch_values), sparse=True)
     then_br, else_br = branches
     upper, limit = then_br[2], then_br[3]
     values: list[int] = []
@@ -265,7 +268,7 @@ def _cycle_witness(
         while x != end:
             values.append(x)
             x = a * x + b
-    return CycleWitness(tuple(values), procedure)
+    return CycleWitness(tuple(values))
 
 
 def _recurrent_interval(
@@ -299,15 +302,14 @@ def _recurrent_interval(
 
 
 def accelerated_walk(
-    loop: MultiPathLoop,
-    x0: int,
-    rule: str,
-    procedure: str | None = None,
-    max_jumps: int = SEARCH_BUDGET,
-    trace: list[int] | None = None,
-) -> Verdict:
-    """Walk branch-switch values, deciding by guard exit, value recurrence,
-    a trapped orbit, or a recurrent interval.
+    loop: MultiPathLoop, x0: int, max_jumps: int = SEARCH_BUDGET, trace: list[int] | None = None
+) -> Terminating | Unsupported | Witness:
+    """Walk branch-switch values from x0 and return what the walk found:
+    Terminating at a guard exit, Unsupported when max_jumps run out, or the
+    witness of an orbit that never exits: a value recurrence (CycleWitness),
+    a trapped orbit (DivergenceWitness) or a recurrent interval
+    (RecurrentWitness).  decide_multipath names it.  A `trace` list gets
+    every switch value visited.
 
     Each jump covers one maximal run of a single branch: a monotone run is
     collapsed to its first value outside the branch's region (with exact
@@ -333,7 +335,7 @@ def accelerated_walk(
         a, b, upper, limit = then_br if in_then else else_br
         diff = (a - 1) * val + b
         if diff == 0:
-            return NonTerminating(rule, CycleWitness((val,), procedure))
+            return CycleWitness((val,))
         if a < 0:
             raise NonMonotoneUpdateError(Update(a, b))
         if a == 0 or (diff > 0) == upper:
@@ -358,29 +360,23 @@ def accelerated_walk(
                     path = list(steps_at)
                     cycle = path[path.index(nxt):]
                     period = steps - steps_at[nxt]
-                    return NonTerminating(rule, _cycle_witness(branches, cycle, period, procedure))
+                    return _cycle_witness(branches, cycle, period)
                 if len(steps_at) == 1:  # nxt is the second switch value
                     interval = _recurrent_interval(branches, nxt, phi_upper, phi_limit)
                     if interval and interval[1] - interval[0] >= _WALKED_INTERVAL:
                         if trace is not None:
                             trace.append(nxt)
-                        return NonTerminating(
-                            rule, RecurrentWitness(interval, nxt, steps, procedure)
-                        )
+                        return RecurrentWitness(interval, nxt, steps)
                 val = nxt
                 continue
             if a == 0:
                 return Terminating(steps + 1)
         elif (diff > 0) != phi_upper:
             # trapped: moves away from the branch's limit and from the guard's
-            return NonTerminating(
-                rule,
-                DivergenceWitness(
-                    steps,
-                    f"trapped in {'then' if in_then else 'else'}-branch moving "
-                    f"{'up' if diff > 0 else 'down'}; the guard can never fail",
-                    procedure,
-                ),
+            return DivergenceWitness(
+                steps,
+                f"trapped in {'then' if in_then else 'else'}-branch moving "
+                f"{'up' if diff > 0 else 'down'}; the guard can never fail",
             )
         # the guard fails within this run
         _, n = escape_region(val, Update(a, b), phi_upper, phi_limit)
@@ -391,23 +387,18 @@ def accelerated_walk(
 # --- Dispatch -----------------------------------------------------------------
 
 
-def decide_multipath(
-    loop: MultiPathLoop, init: Env, search_budget: int = SEARCH_BUDGET
-) -> Verdict:
-    """Classify both branches at x0, walk the trajectory, and let nt_formula
-    explain a non-terminating walk where the row can."""
+def decide_multipath(loop: MultiPathLoop, init: Env, search_budget: int = SEARCH_BUDGET) -> Verdict:
+    """Look up the row at x0 (case_row), walk the trajectory, and name what
+    the walk found: the one multipath NonTerminating is T3-row<n>, with
+    nt_formula's witness where the row explains the walk and the walk's own
+    witness elsewhere."""
     x0 = init[loop.guard.var]
-    phi = loop.guard
-    if not phi.op.holds(x0, phi.bound):
+    if not loop.guard.op.holds(x0, loop.guard.bound):
         return Terminating(0)
-    cls1 = classify(loop.then_update, x0)
-    cls2 = classify(loop.else_update, x0)
-    row = case_row(phi.op, loop.branch_cond.op, cls1.direction, cls2.direction)
-    rule = f"T3-row{row}"
+    row = case_row(loop, x0)
+    found = accelerated_walk(loop, x0, search_budget)
+    if isinstance(found, (Terminating, Unsupported)):
+        return found
     # fixed-point search: Algorithm 3 for rows 21-22, Algorithm 4 for rows 23-24
     procedure = "alg3" if 21 <= row <= 22 else "alg4" if 23 <= row <= 24 else None
-    verdict = accelerated_walk(loop, x0, rule, procedure, search_budget)
-    if not isinstance(verdict, NonTerminating):
-        return verdict
-    witness = nt_formula(row, loop, x0)
-    return verdict if witness is None else NonTerminating(rule, witness)
+    return NonTerminating(f"T3-row{row}", nt_formula(row, loop, x0) or found, procedure)

@@ -119,6 +119,11 @@ def _check_tokens(text: str) -> None:
             raise LoopSyntaxError(line, col, "a token", repr(tok[0]))
 
 
+def _shown(tok: str) -> str:
+    """A token as error messages show it: quoted, or the end of input."""
+    return f"'{tok}'" if tok else "end of input"
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -128,14 +133,13 @@ class _Parser:
     def error(self, expected: str, found: str | None = None) -> LoopSyntaxError:
         """A syntax error at the next token, located by scanning the text again."""
         if found is None:
-            tok = self.tokens[self.pos]
-            found = f"'{tok}'" if tok else "end of input"
+            found = _shown(self.tokens[self.pos])
         _, line, col = next(islice(_scan(self.text), self.pos, None))
         return LoopSyntaxError(line, col, expected, found)
 
-    def take(self, tok: str, expected: str) -> None:
+    def take(self, tok: str) -> None:
         if self.tokens[self.pos] != tok:
-            raise self.error(expected)
+            raise self.error(_shown(tok))
         self.pos += 1
 
     def accept(self, tok: str) -> bool:
@@ -183,9 +187,9 @@ class _Parser:
 
     def statement(self) -> tuple[str, Update]:
         var = self.ident()
-        self.take(":=", "':='")
+        self.take(":=")
         upd = self.expression(var)
-        self.take(";", "';'")
+        self.take(";")
         return var, upd
 
     def expression(self, assigned: str) -> Update:
@@ -221,20 +225,20 @@ class _Parser:
         init: dict[str, int] = {}
         while self.accept("init"):
             name = self.ident()
-            self.take("=", "'='")
+            self.take("=")
             value = self.integer()
-            self.take(";", "';'")
+            self.take(";")
             if name in init:
                 raise ShapeError(f"duplicate init for '{name}'")
             init[name] = value
-        self.take("while", "'while'")
-        self.take("(", "'('")
+        self.take("while")
+        self.take("(")
         guard = self.guard()
-        self.take(")", "')'")
-        self.take("{", "'{'")
+        self.take(")")
+        self.take("{")
         shape = self.body(guard)
-        self.take("}", "'}'")
-        self.take("", "end of input")
+        self.take("}")
+        self.take("")
         program = LoopProgram(shape, init)
         for var in program.variables():
             if var not in init:
@@ -245,22 +249,22 @@ class _Parser:
         if self.accept("if"):
             if not isinstance(guard, DiagonalFreeGuard):
                 raise ShapeError("multipath loops require a diagonal-free loop guard")
-            self.take("(", "'('")
+            self.take("(")
             cond = self.guard()
-            self.take(")", "')'")
+            self.take(")")
             if not isinstance(cond, DiagonalFreeGuard):
                 raise ShapeError("branch conditions must be diagonal-free")
             if cond.var != guard.var:
                 raise ShapeError(
                     f"branch condition tests '{cond.var}' but the guard tests '{guard.var}'"
                 )
-            self.take("{", "'{'")
+            self.take("{")
             then_var, then_upd = self.statement()
-            self.take("}", "'}'")
-            self.take("else", "'else'")
-            self.take("{", "'{'")
+            self.take("}")
+            self.take("else")
+            self.take("{")
             else_var, else_upd = self.statement()
-            self.take("}", "'}'")
+            self.take("}")
             for var in (then_var, else_var):
                 if var != guard.var:
                     raise ShapeError(

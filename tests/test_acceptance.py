@@ -85,7 +85,7 @@ def test_criterion_2_example2_alg3_cycle(capsys):
     try:
         assert isinstance(verdict, NonTerminating)
         assert isinstance(verdict.witness, CycleWitness)
-        assert verdict.witness.procedure == "alg3"
+        assert verdict.procedure == "alg3"
         assert verdict.witness.values == (3, 5, 7, 4, 6)
     except AssertionError:
         _report(capsys, f"ACCEPTANCE 2 FAIL: example 2 gave {verdict}")
@@ -170,9 +170,7 @@ def _is_search_instance(program) -> bool:
         x0 = program.init["x"]
         if not shape.guard.op.holds(x0, shape.guard.bound):
             return False
-        cls1 = classify(shape.then_update, x0)
-        cls2 = classify(shape.else_update, x0)
-        row = case_row(shape.guard.op, shape.branch_cond.op, cls1.direction, cls2.direction)
+        row = case_row(shape, x0)
         return row <= 28 and not formula_applies(row, shape, x0)
     return False
 

@@ -53,11 +53,7 @@ def test_cover_rows_hits_every_table_row():
     rows = set()
     for _, text in generate_corpus(11, 36, shape="multipath", cover_rows=True):
         program = parse(text)
-        shape = program.shape
-        x0 = program.init["x"]
-        cls1 = classify(shape.then_update, x0)
-        cls2 = classify(shape.else_update, x0)
-        rows.add(case_row(shape.guard.op, shape.branch_cond.op, cls1.direction, cls2.direction))
+        rows.add(case_row(program.shape, program.init["x"]))
     assert rows == set(range(1, 37))
 
 
@@ -84,11 +80,7 @@ def test_targeted_constructors():
     rng = random.Random(1)
     for row in (1, 13, 17, 21, 25, 29, 36):
         program = multipath_for_row(rng, row, 20)
-        shape = program.shape
-        x0 = program.init["x"]
-        cls1 = classify(shape.then_update, x0)
-        cls2 = classify(shape.else_update, x0)
-        assert case_row(shape.guard.op, shape.branch_cond.op, cls1.direction, cls2.direction) == row
+        assert case_row(program.shape, program.init["x"]) == row
     for kx in ClassKind:
         for ky in ClassKind:
             program = diagonal_for_pair(rng, kx, ky, 20)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from monoterm import (
     Unsupported,
     agreement_check,
     decide,
+    parse,
     run,
 )
 from monoterm.interpreter import TraceState, step_values
@@ -85,7 +88,7 @@ def test_agreement_pass_cases(example1):
 def test_agreement_rejects_injected_wrong_verdict(example2):
     check = agreement_check(example2, Terminating(None))
     assert not check.ok
-    assert check.details
+    assert check.details == "decided terminating, oracle saw CycleDetected(period=5, entry_step=0)"
 
 
 def test_agreement_rejects_wrong_iteration_count():
@@ -216,3 +219,24 @@ def oracle_programs(draw):
 @given(oracle_programs(), st.integers(1, 60), st.none() | st.integers(1, 5))
 def test_run_matches_reference_simulation(program, max_steps, window):
     assert run(program, max_steps, window) == _reference_run(program, max_steps, window)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+def test_agreement_details_are_printable_under_the_default_int_to_str_limit():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # Python's default
+    try:
+        # 20,000 doublings leave a state of 6,000+ digits in BoundExhausted
+        doubling = parse("init x = 1; while (x > 0) { x := 2 * x; }")
+        check = agreement_check(doubling, Terminating(5), 20000)
+        assert check.ok is False
+        assert check.details == (
+            "decided terminating, oracle saw BoundExhausted(steps=20000, monotone_escape=False)"
+        )
+        # a decided count wider than the limit
+        countdown = parse("init x = 3; while (x > 0) { x := x - 1; }")
+        check = agreement_check(countdown, Terminating(10**5000))
+        assert check.ok is False
+        assert check.details == "iteration count mismatch: oracle ran 3"
+    finally:
+        sys.set_int_max_str_digits(saved)

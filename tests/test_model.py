@@ -125,15 +125,16 @@ def test_update_is_pure_affine(u, v, x):
 
 
 def test_value_types_keep_their_repr():
-    # the CLI prints these reprs in an oracle disagreement's details
+    # reprs show each field by name, in order; a disagreement's details show
+    # TerminatedIn's, and summarize the other oracle results by their counts
     assert repr(BoundExhausted(TraceState((4, -2), 9), 9)) == (
         "BoundExhausted(last=TraceState(values=(4, -2), step=9), steps=9, monotone_escape=False)"
     )
     assert repr(Terminating(0)) == "Terminating(iterations=0)"
     assert repr(Terminating(12)) == "Terminating(iterations=12)"
     assert repr(NonTerminating("lemma1", CycleWitness((3, 5)))) == (
-        "NonTerminating(rule='lemma1', witness=CycleWitness(values=(3, 5), "
-        "procedure=None, sparse=False))"
+        "NonTerminating(rule='lemma1', witness=CycleWitness(values=(3, 5), sparse=False), "
+        "procedure=None)"
     )
     assert repr(Unsupported("walk budget spent", "budget")) == (
         "Unsupported(reason='walk budget spent', code='budget')"

@@ -13,13 +13,11 @@ from monoterm import (
     FormulaWitness,
     NonTerminating,
     RecurrentWitness,
-    RelOp,
     SinglePathLoop,
     TerminatedIn,
     Terminating,
     Unsupported,
     agreement_check,
-    classify,
     decide,
     decide_single,
     run,
@@ -28,6 +26,7 @@ from monoterm import multipath as multipath_module
 from monoterm.gen import multipath_for_row
 from monoterm.interpreter import step_values
 from monoterm.multipath import (
+    CASE_ROWS,
     ROW_KEYS,
     accelerated_walk,
     case_row,
@@ -41,17 +40,17 @@ from conftest import NEG_FIXED_POINT, NEG_MOVING, multipath
 
 def test_case_table_is_total_and_within_range():
     seen = set()
-    for phi_op, cond_op, d1, d2 in itertools.product(RelOp, RelOp, Direction, Direction):
-        row = case_row(phi_op, cond_op, d1, d2)
+    for key in itertools.product((True, False), (True, False), Direction, Direction):
+        row = CASE_ROWS[key]
         assert 1 <= row <= 36
-        assert ROW_KEYS[row] == (phi_op.bounded_below, cond_op.bounded_below, d1, d2)
+        assert ROW_KEYS[row] == key
         seen.add(row)
     assert seen == set(range(1, 37))
-    # ROW_KEYS inverts the table: each row's key, realized, lands on that row
-    op_for = {True: RelOp.GE, False: RelOp.LE}
+    # each row's generated loops land on that row
+    rng = random.Random(36)
     for row in range(1, 37):
-        phi_below, cond_below, d1, d2 = ROW_KEYS[row]
-        assert case_row(op_for[phi_below], op_for[cond_below], d1, d2) == row
+        program = multipath_for_row(rng, row, 20)
+        assert case_row(program.shape, program.init["x"]) == row
 
 
 def test_example1_row17(example1):
@@ -67,7 +66,7 @@ def test_example2_alg3_cycle(example2):
     v = decide(example2)
     assert isinstance(v, NonTerminating)
     assert v.rule == "T3-row21"
-    assert v.witness == CycleWitness((3, 5, 7, 4, 6), procedure="alg3")
+    assert v.witness == CycleWitness((3, 5, 7, 4, 6)) and v.procedure == "alg3"
     oracle = run(example2, 100)
     assert isinstance(oracle, CycleDetected)
     assert oracle.period == 5
@@ -102,9 +101,7 @@ def test_nt_formula_row17(example1):
 def test_nt_formula_row19():
     # guard above, condition below, then up, else down; x0 misses the condition
     program = multipath("<=", 10, ">=", 7, (1, 1), (1, -1), 3)
-    cls1 = classify(program.shape.then_update, 3)
-    cls2 = classify(program.shape.else_update, 3)
-    assert case_row(RelOp.LE, RelOp.GE, cls1.direction, cls2.direction) == 19
+    assert case_row(program.shape, 3) == 19
     assert nt_formula(19, program.shape, 3).conjuncts == (("x0 <= c", True), ("x0 < c1", True))
     v = decide(program)
     assert isinstance(v, NonTerminating) and v.rule == "T3-row19"
@@ -203,7 +200,7 @@ def test_alternating_two_cycle():
     program = multipath("<=", 10, "<=", 5, (1, 2), (1, -2), 4)
     v = decide(program)
     assert isinstance(v, NonTerminating) and v.rule == "T3-row21"
-    assert v.witness == CycleWitness((4, 6), procedure="alg3")
+    assert v == NonTerminating("T3-row21", CycleWitness((4, 6)), "alg3")
 
 
 def test_alg4_side():
@@ -213,7 +210,7 @@ def test_alg4_side():
     assert isinstance(v, (Terminating, NonTerminating))
     if isinstance(v, NonTerminating):
         assert v.rule == "T3-row23"
-        assert v.witness.procedure == "alg4"
+        assert v.procedure == "alg4"
     assert agreement_check(program, v).ok
 
 
@@ -281,8 +278,8 @@ def test_walk_trap_terminates_through_guard():
 
 def test_fixed_point_search_values_are_oracle_subsequence(example2):
     trace: list[int] = []
-    v = accelerated_walk(example2.shape, 3, "T3-row21", "alg3", trace=trace)
-    assert isinstance(v, NonTerminating)
+    v = accelerated_walk(example2.shape, 3, trace=trace)
+    assert isinstance(v, CycleWitness)
     concrete = [3]
     values = (3,)
     for _ in range(40):
@@ -293,10 +290,9 @@ def test_fixed_point_search_values_are_oracle_subsequence(example2):
 
 
 def test_fixed_point_search_wrapper_requires_rows_21_24(example2):
-    v = accelerated_walk(example2.shape, 3, "T3-row21", "alg3")
-    assert isinstance(v, NonTerminating)
-    assert v.witness.procedure == "alg3"
-    assert decide(example2) == v
+    found = accelerated_walk(example2.shape, 3)
+    assert isinstance(found, CycleWitness)
+    assert decide(example2) == NonTerminating("T3-row21", found, "alg3")
 
 
 def test_walk_budget_exhaustion_reports_unsupported(example2):
@@ -392,8 +388,8 @@ def test_every_formula_witness_is_satisfied():
 def test_example2_rotation_decides_at_the_second_switch_value(example2):
     # I = [3, 7] is recurrent but holds only 5 values: the walk closes the cycle
     trace: list[int] = []
-    v = accelerated_walk(example2.shape, 3, "T3-row21", "alg3", trace=trace)
-    assert v == NonTerminating("T3-row21", CycleWitness((3, 5, 7, 4, 6), procedure="alg3"))
+    v = accelerated_walk(example2.shape, 3, trace=trace)
+    assert v == CycleWitness((3, 5, 7, 4, 6))
     assert trace == [3, 7, 4, 6]
 
 
@@ -411,10 +407,10 @@ def test_rotation_checks_only_the_residue_class_of_v1(program, rule, cycle):
     # the guard cuts the window, so no interval is certified; the walk
     # visits v1's class only and closes the cycle in two jumps
     trace: list[int] = []
-    v = accelerated_walk(program.shape, program.init["x"], rule, trace=trace)
-    assert v == NonTerminating(rule, CycleWitness(cycle))
+    v = accelerated_walk(program.shape, program.init["x"], trace=trace)
+    assert v == CycleWitness(cycle)
     assert len(trace) == 2
-    assert decide(program).witness.values == cycle
+    assert decide(program) == NonTerminating(rule, v, "alg3" if rule == "T3-row21" else "alg4")
 
 
 def test_trace_ends_at_the_recurrent_interval_entry():
@@ -422,9 +418,9 @@ def test_trace_ends_at_the_recurrent_interval_entry():
     # [-1999, 0] into itself, and the orbit enters it at its second switch value
     program = multipath("<=", 0, "<=", -1000, (1, 1000), (1, -1000), 0)
     trace: list[int] = []
-    v = accelerated_walk(program.shape, 0, "T3-row21", "alg3", trace=trace)
-    assert v == NonTerminating("T3-row21", RecurrentWitness((-1999, 0), -1000, 1, "alg3"))
-    assert trace == [0, v.witness.entry]
+    v = accelerated_walk(program.shape, 0, trace=trace)
+    assert v == RecurrentWitness((-1999, 0), -1000, 1)
+    assert trace == [0, v.entry]
 
 
 def _verdict_key(verdict) -> tuple:
