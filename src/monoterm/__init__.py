@@ -7,8 +7,6 @@ A bounded concrete interpreter serves as the independent oracle.
 """
 
 from .analyzer import decide
-from .classifier import classify
-from .diagonal import decide_diagonal_program
 from .interpreter import (
     Agreement,
     BoundExhausted,
@@ -20,18 +18,14 @@ from .interpreter import (
 )
 from .model import (
     AnalysisError,
-    ClassKind,
     CycleWitness,
     DiagonalFreeGuard,
     DiagonalGuard,
     DiagonalLoop,
-    Direction,
     DivergenceWitness,
     FormulaWitness,
     LoopProgram,
-    MonotoneClass,
     MultiPathLoop,
-    NonMonotoneUpdateError,
     NonTerminating,
     RecurrentWitness,
     RelOp,
@@ -42,7 +36,6 @@ from .model import (
     Update,
     Verdict,
 )
-from .multipath import accelerated_walk, decide_multipath
 from .parser import (
     LoopSyntaxError,
     MissingInitError,
@@ -51,19 +44,13 @@ from .parser import (
     parse,
     print_program,
 )
-from .single import decide_single
 
 __all__ = [
     "decide",
-    "classify",
     "parse",
     "print_program",
     "run",
     "agreement_check",
-    "decide_single",
-    "decide_diagonal_program",
-    "decide_multipath",
-    "accelerated_walk",
     "LoopProgram",
     "SinglePathLoop",
     "DiagonalLoop",
@@ -72,9 +59,6 @@ __all__ = [
     "DiagonalGuard",
     "Update",
     "RelOp",
-    "Direction",
-    "ClassKind",
-    "MonotoneClass",
     "Terminating",
     "NonTerminating",
     "Unsupported",
@@ -90,7 +74,6 @@ __all__ = [
     "Agreement",
     "AnalysisError",
     "UnboundVariableError",
-    "NonMonotoneUpdateError",
     "ParseError",
     "LoopSyntaxError",
     "ShapeError",

@@ -40,7 +40,6 @@ class CycleDetected(NamedTuple):
 
 
 class BoundExhausted(NamedTuple):
-    last: TraceState
     steps: int
     monotone_escape: bool = False
 
@@ -84,6 +83,8 @@ def run(
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    if divergence_window is not None and divergence_window < 1:
+        raise ValueError("divergence_window must be >= 1")
     s = p.shape
     # Every value is simulated multiplied by `sign`, chosen so that the guard
     # reads `metric >= low`; x := a*x + b then becomes x := a*x + sign*b.
@@ -126,13 +127,13 @@ def _run_one(x, sign, low, cut, upper, lower, max_steps, window) -> OracleResult
         if first != steps:
             return CycleDetected(TraceState((sign * x,), first), steps - first)
         if steps >= max_steps:
-            return BoundExhausted(TraceState((sign * x,), steps), steps)
+            return BoundExhausted(steps)
         nxt = a1 * x + b1 if x >= cut else a2 * x + b2
         safe_run = safe_run + 1 if nxt >= x else 0
         x = nxt
         steps += 1
         if safe_run >= window:
-            return BoundExhausted(TraceState((sign * x,), steps), steps, monotone_escape=True)
+            return BoundExhausted(steps, monotone_escape=True)
 
 
 def _run_pair(x, y, sign, low, lhs, rhs, max_steps, window) -> OracleResult:
@@ -149,24 +150,23 @@ def _run_pair(x, y, sign, low, lhs, rhs, max_steps, window) -> OracleResult:
         if first != steps:
             return CycleDetected(TraceState((sign * x, sign * y), first), steps - first)
         if steps >= max_steps:
-            return BoundExhausted(TraceState((sign * x, sign * y), steps), steps)
+            return BoundExhausted(steps)
         x, y = a1 * x + b1, a2 * y + b2
         new_gap = x - y
         safe_run = safe_run + 1 if new_gap >= gap else 0
         gap = new_gap
         steps += 1
         if safe_run >= window:
-            return BoundExhausted(
-                TraceState((sign * x, sign * y), steps), steps, monotone_escape=True
-            )
+            return BoundExhausted(steps, monotone_escape=True)
 
 
 def _summary(result: CycleDetected | BoundExhausted) -> str:
     """A run that did not exit, by its counts only, which max_steps bounds:
-    its values may be too wide for str() under the default int-to-str limit."""
+    a cycle's entry values may be too wide for str() under the default
+    int-to-str limit."""
     if isinstance(result, CycleDetected):
         return f"CycleDetected(period={result.period}, entry_step={result.entry.step})"
-    return f"BoundExhausted(steps={result.steps}, monotone_escape={result.monotone_escape})"
+    return repr(result)
 
 
 class Agreement(NamedTuple):

@@ -118,7 +118,7 @@ class Update(NamedTuple):
         return self.coeff * x + self.offset
 
     def first_difference(self, x: int) -> int:
-        """apply(x) - x; its sign is invariant along the orbit for coeff >= 0."""
+        """apply(x) - x; its sign is invariant along the orbit for coeff >= 1."""
         return (self.coeff - 1) * x + self.offset
 
 

@@ -13,7 +13,6 @@ import pytest
 
 from monoterm import (
     BoundExhausted,
-    ClassKind,
     CycleDetected,
     CycleWitness,
     FormulaWitness,
@@ -23,13 +22,13 @@ from monoterm import (
     Unsupported,
     Update,
     agreement_check,
-    classify,
     decide,
     parse,
 )
+from monoterm.classifier import classify
 from monoterm.cli import main
 from monoterm.gen import diagonal_for_pair, generate_corpus, multipath_for_row
-from monoterm.model import DiagonalLoop, MultiPathLoop
+from monoterm.model import ClassKind, DiagonalLoop, MultiPathLoop
 from monoterm.multipath import case_row, formula_applies
 from monoterm.psi import escape_region
 

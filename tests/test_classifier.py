@@ -2,13 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from monoterm import (
-    ClassKind,
-    Direction,
-    NonMonotoneUpdateError,
-    Update,
-    classify,
-)
+from monoterm import Update
+from monoterm.classifier import classify
+from monoterm.model import ClassKind, Direction, NonMonotoneUpdateError
 
 
 def iterate(upd: Update, x0: int, n: int) -> int:

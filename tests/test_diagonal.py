@@ -12,7 +12,6 @@ from monoterm import (
     Update,
     agreement_check,
     decide,
-    decide_single,
     run,
 )
 from monoterm.diagonal import normalize_direction
@@ -20,6 +19,7 @@ from monoterm.gen import diagonal_for_pair
 from monoterm.interpreter import step_values
 from monoterm.model import ClassKind, DiagonalFreeGuard
 from monoterm.parser import parse
+from monoterm.single import decide_single
 
 from conftest import NEG_DIAGONAL_GUARD_FALSE, diagonal
 

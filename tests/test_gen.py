@@ -3,14 +3,15 @@ import random
 
 import pytest
 
-from monoterm import ClassKind, Unsupported, classify, decide, parse
+from monoterm import Unsupported, decide, parse
+from monoterm.classifier import classify
 from monoterm.gen import (
     diagonal_for_pair,
     generate_corpus,
     multipath_for_row,
     random_program,
 )
-from monoterm.model import DiagonalLoop, MultiPathLoop, SinglePathLoop
+from monoterm.model import ClassKind, DiagonalLoop, MultiPathLoop, SinglePathLoop
 from monoterm.multipath import case_row
 from monoterm.parser import print_program
 

@@ -76,6 +76,10 @@ def test_cycle_certificate_replays(example2):
 def test_max_steps_validation(example2):
     with pytest.raises(ValueError):
         run(example2, 0)
+    countdown = parse("init x = 100; while (x > 0) { x := x - 1; }")
+    for window in (0, -1):
+        with pytest.raises(ValueError, match="divergence_window must be >= 1"):
+            run(countdown, 1000, divergence_window=window)
 
 
 def test_agreement_pass_cases(example1):
@@ -185,7 +189,7 @@ def _reference_run(p, max_steps, divergence_window):
             return CycleDetected(TraceState(values, seen[values]), steps - seen[values])
         seen[values] = steps
         if steps >= max_steps:
-            return BoundExhausted(TraceState(values, steps), steps)
+            return BoundExhausted(steps)
         nxt = step_values(p, values)
         if guard.op.bounded_below:
             safe = metric(nxt) >= metric(values)
@@ -195,7 +199,7 @@ def _reference_run(p, max_steps, divergence_window):
         values = nxt
         steps += 1
         if divergence_window is not None and safe_run >= divergence_window:
-            return BoundExhausted(TraceState(values, steps), steps, monotone_escape=True)
+            return BoundExhausted(steps, monotone_escape=True)
 
 
 @st.composite
@@ -226,7 +230,7 @@ def test_agreement_details_are_printable_under_the_default_int_to_str_limit():
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)  # Python's default
     try:
-        # 20,000 doublings leave a state of 6,000+ digits in BoundExhausted
+        # 20,000 doublings leave x with 6,000+ digits; the details name counts only
         doubling = parse("init x = 1; while (x > 0) { x := 2 * x; }")
         check = agreement_check(doubling, Terminating(5), 20000)
         assert check.ok is False

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from monoterm import (
     CycleDetected,
     CycleWitness,
-    Direction,
     DivergenceWitness,
     FormulaWitness,
     NonTerminating,
@@ -19,12 +18,12 @@ from monoterm import (
     Unsupported,
     agreement_check,
     decide,
-    decide_single,
     run,
 )
 from monoterm import multipath as multipath_module
 from monoterm.gen import multipath_for_row
 from monoterm.interpreter import step_values
+from monoterm.model import Direction
 from monoterm.multipath import (
     CASE_ROWS,
     ROW_KEYS,
@@ -34,6 +33,7 @@ from monoterm.multipath import (
     nt_formula,
 )
 from monoterm.parser import parse
+from monoterm.single import decide_single
 
 from conftest import NEG_FIXED_POINT, NEG_MOVING, multipath
 

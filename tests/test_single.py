@@ -11,10 +11,10 @@ from monoterm import (
     Update,
     agreement_check,
     decide,
-    decide_single,
 )
 from monoterm.model import NonMonotoneUpdateError
 from monoterm.parser import parse
+from monoterm.single import decide_single
 
 from conftest import NEG_SINGLE_GUARD_FALSE, single
 

@@ -11,8 +11,9 @@ import json
 import random
 from functools import cache
 
-from monoterm import ClassKind, RecurrentWitness, decide, parse
+from monoterm import RecurrentWitness, decide, parse
 from monoterm.gen import diagonal_for_pair, multipath_for_row, random_program
+from monoterm.model import ClassKind
 
 ROWS = (21, 22, 23, 24)
 
