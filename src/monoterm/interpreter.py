@@ -40,6 +40,7 @@ class CycleDetected(NamedTuple):
 
 
 class BoundExhausted(NamedTuple):
+    last: TraceState
     steps: int
     monotone_escape: bool = False
 
@@ -127,13 +128,13 @@ def _run_one(x, sign, low, cut, upper, lower, max_steps, window) -> OracleResult
         if first != steps:
             return CycleDetected(TraceState((sign * x,), first), steps - first)
         if steps >= max_steps:
-            return BoundExhausted(steps)
+            return BoundExhausted(TraceState((sign * x,), steps), steps)
         nxt = a1 * x + b1 if x >= cut else a2 * x + b2
         safe_run = safe_run + 1 if nxt >= x else 0
         x = nxt
         steps += 1
         if safe_run >= window:
-            return BoundExhausted(steps, monotone_escape=True)
+            return BoundExhausted(TraceState((sign * x,), steps), steps, monotone_escape=True)
 
 
 def _run_pair(x, y, sign, low, lhs, rhs, max_steps, window) -> OracleResult:
@@ -150,23 +151,24 @@ def _run_pair(x, y, sign, low, lhs, rhs, max_steps, window) -> OracleResult:
         if first != steps:
             return CycleDetected(TraceState((sign * x, sign * y), first), steps - first)
         if steps >= max_steps:
-            return BoundExhausted(steps)
+            return BoundExhausted(TraceState((sign * x, sign * y), steps), steps)
         x, y = a1 * x + b1, a2 * y + b2
         new_gap = x - y
         safe_run = safe_run + 1 if new_gap >= gap else 0
         gap = new_gap
         steps += 1
         if safe_run >= window:
-            return BoundExhausted(steps, monotone_escape=True)
+            return BoundExhausted(
+                TraceState((sign * x, sign * y), steps), steps, monotone_escape=True
+            )
 
 
 def _summary(result: CycleDetected | BoundExhausted) -> str:
     """A run that did not exit, by its counts only, which max_steps bounds:
-    a cycle's entry values may be too wide for str() under the default
-    int-to-str limit."""
+    its values may be too wide for str() under the default int-to-str limit."""
     if isinstance(result, CycleDetected):
         return f"CycleDetected(period={result.period}, entry_step={result.entry.step})"
-    return repr(result)
+    return f"BoundExhausted(steps={result.steps}, monotone_escape={result.monotone_escape})"
 
 
 class Agreement(NamedTuple):

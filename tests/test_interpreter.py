@@ -189,7 +189,7 @@ def _reference_run(p, max_steps, divergence_window):
             return CycleDetected(TraceState(values, seen[values]), steps - seen[values])
         seen[values] = steps
         if steps >= max_steps:
-            return BoundExhausted(steps)
+            return BoundExhausted(TraceState(values, steps), steps)
         nxt = step_values(p, values)
         if guard.op.bounded_below:
             safe = metric(nxt) >= metric(values)
@@ -199,7 +199,7 @@ def _reference_run(p, max_steps, divergence_window):
         values = nxt
         steps += 1
         if divergence_window is not None and safe_run >= divergence_window:
-            return BoundExhausted(steps, monotone_escape=True)
+            return BoundExhausted(TraceState(values, steps), steps, monotone_escape=True)
 
 
 @st.composite
@@ -230,7 +230,7 @@ def test_agreement_details_are_printable_under_the_default_int_to_str_limit():
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)  # Python's default
     try:
-        # 20,000 doublings leave x with 6,000+ digits; the details name counts only
+        # 20,000 doublings leave a state of 6,000+ digits in BoundExhausted
         doubling = parse("init x = 1; while (x > 0) { x := 2 * x; }")
         check = agreement_check(doubling, Terminating(5), 20000)
         assert check.ok is False

@@ -135,7 +135,9 @@ def test_update_is_pure_affine(u, v, x):
 def test_value_types_keep_their_repr():
     # reprs show each field by name, in order; a disagreement's details show
     # TerminatedIn's, and summarize the other oracle results by their counts
-    assert repr(BoundExhausted(9)) == "BoundExhausted(steps=9, monotone_escape=False)"
+    assert repr(BoundExhausted(TraceState((4, -2), 9), 9)) == (
+        "BoundExhausted(last=TraceState(values=(4, -2), step=9), steps=9, monotone_escape=False)"
+    )
     assert repr(Terminating(0)) == "Terminating(iterations=0)"
     assert repr(Terminating(12)) == "Terminating(iterations=12)"
     assert repr(NonTerminating("lemma1", CycleWitness((3, 5)))) == (
