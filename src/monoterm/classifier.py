@@ -4,9 +4,13 @@ from __future__ import annotations
 
 from .model import ClassKind, Direction, MonotoneClass, NonMonotoneUpdateError, Update
 
+_UP, _DOWN, _FLAT = Direction.UP, Direction.DOWN, Direction.FLAT
+_CONSTANT_CLASS = MonotoneClass(ClassKind.CONSTANT, _FLAT)
+_ARITHMETIC, _GEOMETRIC, _AFFINE = ClassKind.ARITHMETIC, ClassKind.GEOMETRIC, ClassKind.AFFINE
 
-def classify(upd: Update, start: int) -> MonotoneClass:
-    """Assign the update its monotonicity class for the orbit starting at ``start``.
+
+def direction(upd: Update, start: int) -> Direction:
+    """The direction of the update's orbit starting at ``start``.
 
     The sign of the first difference (coeff - 1) * start + offset is the sign
     of every later difference (each difference is the previous one times
@@ -15,15 +19,23 @@ def classify(upd: Update, start: int) -> MonotoneClass:
     A negative coefficient flips the difference sign every step and is
     rejected as non-monotone.
     """
-    u, v = upd.coeff, upd.offset
     d = upd.first_difference(start)
-    if u == 0 or d == 0:
-        return MonotoneClass(ClassKind.CONSTANT, Direction.FLAT)
-    if u < 0:
+    if upd.coeff == 0 or d == 0:
+        return _FLAT
+    if upd.coeff < 0:
         raise NonMonotoneUpdateError(upd)
-    direction = Direction.UP if d > 0 else Direction.DOWN
-    if u == 1:
-        return MonotoneClass(ClassKind.ARITHMETIC, direction)
-    if v == 0:
-        return MonotoneClass(ClassKind.GEOMETRIC, direction)
-    return MonotoneClass(ClassKind.AFFINE, direction)
+    return _UP if d > 0 else _DOWN
+
+
+def classify(upd: Update, start: int) -> MonotoneClass:
+    """Assign the update its monotonicity class for the orbit starting at
+    ``start``: its `direction`, and a kind read off the coefficient and
+    offset of a moving orbit."""
+    moves = direction(upd, start)
+    if moves is _FLAT:
+        return _CONSTANT_CLASS
+    if upd.coeff == 1:
+        return MonotoneClass(_ARITHMETIC, moves)
+    if upd.offset == 0:
+        return MonotoneClass(_GEOMETRIC, moves)
+    return MonotoneClass(_AFFINE, moves)

@@ -67,7 +67,7 @@ _BELOW: _Stop = lambda x, y, c: y < x - c and x < 0 and y < 0
 _RATIOS = "u1={u1} {cmp} u2={u2}, direction {direction}"
 
 _A, _G, _F = ClassKind.ARITHMETIC, ClassKind.GEOMETRIC, ClassKind.AFFINE
-_UP, _DOWN = Direction.UP, Direction.DOWN
+_UP, _DOWN, _FLAT = Direction.UP, Direction.DOWN, Direction.FLAT
 
 # (kind of x, kind of y, direction) -> (rule, condition name, predicate)
 _RUN_RULES: dict[tuple[ClassKind, ClassKind, Direction], tuple[str, str, _Stop | None]] = {
@@ -119,7 +119,7 @@ def decide_diagonal_program(
     upd_x, upd_y = norm.lhs_update, norm.rhs_update
     cls_x, cls_y = classify(upd_x, x0), classify(upd_y, y0)
     dir_x, dir_y = cls_x.direction, cls_y.direction
-    if Direction.FLAT in (dir_x, dir_y):
+    if _FLAT in (dir_x, dir_y):
         # One concrete step lands direct assignments on their pinned value (the
         # first application of x := b may jump), after which the gap moves with
         # the non-pinned side only, or not at all.
@@ -129,17 +129,17 @@ def decide_diagonal_program(
         if dir_x is dir_y:  # both pinned: a one-state cycle, in the loop's own order
             state = (x1, y1) if norm is loop else (y1, x1)
             return NonTerminating(RULE_PINNED, CycleWitness((state,)))
-        if dir_x is Direction.UP or dir_y is Direction.DOWN:  # the gap rises
+        if dir_x is _UP or dir_y is _DOWN:  # the gap rises
             return NonTerminating(
                 RULE_PINNED,
                 DivergenceWitness(1, "gap moves away from the bound beside a pinned variable"),
             )
-        if dir_x is Direction.FLAT:  # y rises past x1 - low
+        if dir_x is _FLAT:  # y rises past x1 - low
             _, steps = escape_region(y1, upd_y, True, x1 - low)
         else:  # x falls past low + y1
             _, steps = escape_region(x1, upd_x, False, low + y1)
         return Terminating(1 + steps)
-    if dir_x is Direction.UP and dir_y is Direction.DOWN:
+    if dir_x is _UP and dir_y is _DOWN:
         return NonTerminating(
             RULE_OPPOSITE,
             FormulaWitness(
@@ -156,7 +156,7 @@ def decide_diagonal_program(
         if v1 < v2:
             _, steps = escape_region(x0 - y0, Update(1, v1 - v2), False, low)
             return Terminating(steps)
-        if dir_x is Direction.UP:
+        if dir_x is _UP:
             reason = f"v1={v1} >= v2={v2}"
         else:
             reason = f"|v1|={abs(v1)} <= |v2|={abs(v2)}"

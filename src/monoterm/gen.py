@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from functools import partial
 
-from .classifier import classify
+from .classifier import classify, direction
 from .model import (
     ClassKind,
     DiagonalFreeGuard,
@@ -40,6 +40,7 @@ _ABOVE_OPS = (RelOp.LT, RelOp.LE)
 _RATIOS = (2, 3)
 # the update kind drawn for each non-constant class of a class pair
 _PAIR_KINDS = {ClassKind.ARITHMETIC: "ra", ClassKind.GEOMETRIC: "rg", ClassKind.AFFINE: "i"}
+_CONSTANT, _UP, _FLAT = ClassKind.CONSTANT, Direction.UP, Direction.FLAT
 
 
 def _int(rng: random.Random, bound: int) -> int:
@@ -78,14 +79,14 @@ def _classifiable_update(rng: random.Random, bound: int) -> Update:
 
 def _directed_update(rng: random.Random, want: Direction, x0: int, bound: int) -> Update:
     """An update whose direction from x0 is the wanted one.  Always succeeds."""
-    if want is Direction.FLAT:
+    if want is _FLAT:
         return _update(rng, "const", bound)
     for _ in range(64):
         upd = _classifiable_update(rng, bound)
-        if upd.coeff != 0 and classify(upd, x0).direction is want:
+        if upd.coeff != 0 and direction(upd, x0) is want:
             return upd
     step = rng.randint(1, max(1, _step_bound(bound) // 2))
-    return Update(1, step if want is Direction.UP else -step)
+    return Update(1, step if want is _UP else -step)
 
 
 def random_program(rng: random.Random, shape: str, bound: int) -> LoopProgram:
@@ -125,7 +126,7 @@ def diagonal_for_pair(
     """A diagonal program whose updates classify exactly as the given kinds."""
 
     def candidate(kind: ClassKind) -> Update:
-        if kind is ClassKind.CONSTANT:
+        if kind is _CONSTANT:
             return rng.choice((_update(rng, "const", bound), Update(1, 0)))
         return _update(rng, _PAIR_KINDS[kind], bound)
 

@@ -27,7 +27,7 @@ non-terminating alternations however long their cycle.
 
 from __future__ import annotations
 
-from .classifier import classify
+from .classifier import direction
 from .model import (
     SEARCH_BUDGET,
     CycleWitness,
@@ -101,10 +101,10 @@ ROW_KEYS: dict[int, tuple[bool, bool, Direction, Direction]] = {
 
 
 def case_row(loop: MultiPathLoop, x0: int) -> int:
-    """The loop's Table 3 row at x0, from both branches' classes at x0 (a
+    """The loop's Table 3 row at x0, from both branches' directions at x0 (a
     negative coefficient that moves x0 raises NonMonotoneUpdateError)."""
-    dir1 = classify(loop.then_update, x0).direction
-    dir2 = classify(loop.else_update, x0).direction
+    dir1 = direction(loop.then_update, x0)
+    dir2 = direction(loop.else_update, x0)
     return CASE_ROWS[loop.guard.op.bounded_below, loop.branch_cond.op.bounded_below, dir1, dir2]
 
 
@@ -158,7 +158,7 @@ def formula_applies(row: int, loop: MultiPathLoop, x0: int) -> bool:
         return False
     _, _, dir1, dir2 = ROW_KEYS[row]
     then_u, else_u = loop.then_update, loop.else_update
-    const_then, const_else = dir1 is Direction.FLAT, dir2 is Direction.FLAT
+    const_then, const_else = dir1 is _C, dir2 is _C
     if (const_then and then_u.coeff != 0) or (const_else and else_u.coeff != 0):
         return False
     if const_then == const_else:  # no branch or both are constant
@@ -179,14 +179,14 @@ def nt_formula(row: int, loop: MultiPathLoop, x0: int) -> FormulaWitness | None:
     phi = loop.guard
     if row >= 29:
         # both branches move the same way; the branch condition is irrelevant
-        direction = ROW_KEYS[row][2]
-        assert (phi.op.bounded_below and direction is Direction.UP) or (
-            phi.op.bounded_above and direction is Direction.DOWN
+        moves = ROW_KEYS[row][2]
+        assert (phi.op.bounded_below and moves is _U) or (
+            phi.op.bounded_above and moves is _D
         ), f"walk diverges on row {row} against the guard"
         return FormulaWitness(
             conjuncts=(
                 (f"x0 {phi.op.value} c", True),
-                (f"both branches move {direction.value}, preserving the guard", True),
+                (f"both branches move {moves.value}, preserving the guard", True),
             ),
             bindings=(("x0", x0), ("c", phi.bound)),
         )
@@ -195,10 +195,10 @@ def nt_formula(row: int, loop: MultiPathLoop, x0: int) -> FormulaWitness | None:
     cond = loop.branch_cond
     bindings: dict[str, int] = {"x0": x0, "c": phi.bound, "c1": cond.bound}
     _, _, dir1, dir2 = ROW_KEYS[row]
-    const_then = dir1 is Direction.FLAT
-    if const_then and dir2 is Direction.FLAT:
+    const_then = dir1 is _C
+    if const_then and dir2 is _C:
         bindings.update(b1=loop.then_update.offset, b2=loop.else_update.offset)
-    elif const_then or dir2 is Direction.FLAT:
+    elif const_then or dir2 is _C:
         bindings["b"] = (loop.then_update if const_then else loop.else_update).offset
     # psi probes run the monotone branch (the else-branch when the then-branch
     # is constant) to the edge of its region

@@ -8,7 +8,7 @@ step.
 
 from __future__ import annotations
 
-from .classifier import classify
+from .classifier import direction
 from .model import (
     CycleWitness,
     Direction,
@@ -24,23 +24,23 @@ from .psi import escape_region
 RULE_LEMMA1 = "Lemma1"
 RULE_LEMMA1_CONST = "Lemma1-const"
 
+_UP, _DOWN, _FLAT = Direction.UP, Direction.DOWN, Direction.FLAT
+
 
 def decide_single(loop: SinglePathLoop, init: Env) -> Verdict:
-    """Test the guard at iteration 0, classify the update, and decide
+    """Test the guard at iteration 0, take the update's direction, and decide
     while (x op c) { x := f(x); }."""
     guard, op = loop.guard, loop.guard.op
     x0 = init[guard.var]
     if not op.holds(x0, guard.bound):
         return Terminating(0)
-    direction = classify(loop.update, x0).direction
-    if direction is Direction.FLAT:
+    moves = direction(loop.update, x0)
+    if moves is _FLAT:
         pinned = loop.update.apply(x0)
         if op.holds(pinned, guard.bound):
             return NonTerminating(RULE_LEMMA1_CONST, CycleWitness((pinned,)))
         return Terminating(1)
-    exits = (op.bounded_above and direction is Direction.UP) or (
-        op.bounded_below and direction is Direction.DOWN
-    )
+    exits = (op.bounded_above and moves is _UP) or (op.bounded_below and moves is _DOWN)
     if exits:
         _, steps = escape_region(x0, loop.update, op.bounded_above, op.limit(guard.bound))
         return Terminating(steps)
@@ -49,7 +49,7 @@ def decide_single(loop: SinglePathLoop, init: Env) -> Verdict:
         FormulaWitness(
             conjuncts=(
                 ("x0 satisfies guard", True),
-                (f"update direction {direction.value} preserves {op.value}", True),
+                (f"update direction {moves.value} preserves {op.value}", True),
             ),
             bindings=(("x0", x0), ("c", guard.bound)),
         ),

@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from monoterm import Update
-from monoterm.classifier import classify
+from monoterm.classifier import classify, direction
 from monoterm.model import ClassKind, Direction, NonMonotoneUpdateError
 
 
@@ -82,13 +82,22 @@ def test_direction_soundness(upd, x0):
 
 
 @given(st.integers(-5, 5), st.integers(-10, 10), st.integers(-30, 30))
+@example(-1, 0, 0)  # x := -x is flat at its fixed point 0
+@example(-1, 0, 5)  # and moves, alternating, everywhere else
 def test_classifier_totality(u, v, x0):
+    # direction is the one sign rule: classify agrees with it, and raises
+    # exactly where it raises, with the same text
     upd = Update(u, v)
     try:
-        cls = classify(upd, x0)
-    except NonMonotoneUpdateError:
+        moves = direction(upd, x0)
+    except NonMonotoneUpdateError as err:
         assert u < 0 and upd.first_difference(x0) != 0
+        with pytest.raises(NonMonotoneUpdateError) as raised:
+            classify(upd, x0)
+        assert str(raised.value) == str(err)
         return
+    cls = classify(upd, x0)
+    assert cls.direction is moves
     d = upd.first_difference(x0)
     if cls.kind is ClassKind.CONSTANT:
         assert (u == 0 or d == 0) and cls.direction is Direction.FLAT
