@@ -18,7 +18,11 @@ from .single import decide_single
 
 
 def decide(program: LoopProgram, search_budget: int = SEARCH_BUDGET) -> Verdict:
-    """Decide termination of the program for its initial values."""
+    """Decide termination of the program for its initial values; a
+    search_budget (diagonal iterations, multipath jumps) below 1 raises
+    ValueError."""
+    if search_budget < 1:
+        raise ValueError("search_budget must be >= 1")
     init = program.initial_env()
     shape = program.shape
     try:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .classifier import classify
 from .model import (
     SEARCH_BUDGET,
     ClassKind,
@@ -40,14 +39,13 @@ from .model import (
     DivergenceWitness,
     Env,
     FormulaWitness,
-    MonotoneClass,
     NonTerminating,
     Terminating,
     Unsupported,
     Update,
     Verdict,
 )
-from .psi import escape_region
+from .orbit import classify, direction, escape_region
 
 RULE_OPPOSITE = "diag-opposite"
 RULE_PINNED = "diag-const"
@@ -107,8 +105,8 @@ def normalize_direction(loop: DiagonalLoop) -> DiagonalLoop:
 def decide_diagonal_program(
     loop: DiagonalLoop, init: Env, search_budget: int = SEARCH_BUDGET
 ) -> Verdict:
-    """Normalize, test the guard at iteration 0, classify both updates, and
-    take the cases in order: a pinned side, opposite directions, an
+    """Normalize, test the guard at iteration 0, take both orbits' directions,
+    and take the cases in order: a pinned side, opposite directions, an
     arithmetic gap, then the committed-gap run."""
     norm = normalize_direction(loop)
     c = norm.guard.bound
@@ -117,8 +115,7 @@ def decide_diagonal_program(
     if x0 - y0 < low:
         return Terminating(0)
     upd_x, upd_y = norm.lhs_update, norm.rhs_update
-    cls_x, cls_y = classify(upd_x, x0), classify(upd_y, y0)
-    dir_x, dir_y = cls_x.direction, cls_y.direction
+    dir_x, dir_y = direction(upd_x, x0), direction(upd_y, y0)
     if _FLAT in (dir_x, dir_y):
         # One concrete step lands direct assignments on their pinned value (the
         # first application of x := b may jump), after which the gap moves with
@@ -167,17 +164,11 @@ def decide_diagonal_program(
                 bindings=(("v1", v1), ("v2", v2)),
             ),
         )
-    return _committed_gap_run(norm, cls_x, cls_y, x0, y0, low, search_budget)
+    return _committed_gap_run(norm, dir_x, x0, y0, low, search_budget)
 
 
 def _committed_gap_run(
-    norm: DiagonalLoop,
-    cls_x: MonotoneClass,
-    cls_y: MonotoneClass,
-    x0: int,
-    y0: int,
-    low: int,
-    budget: int,
+    norm: DiagonalLoop, dir_x: Direction, x0: int, y0: int, low: int, budget: int
 ) -> Verdict:
     """Exact search: terminate at guard violation, certify divergence at the
     first committed iterate where the class pair's stopping condition holds.
@@ -190,9 +181,10 @@ def _committed_gap_run(
     """
     upd_x, upd_y, c = norm.lhs_update, norm.rhs_update, norm.guard.bound
     u1, u2 = upd_x.coeff, upd_y.coeff
-    rule, condition, stop = _RUN_RULES.get((cls_x.kind, cls_y.kind, cls_x.direction), _NO_RULE)
+    key = (classify(upd_x, x0), classify(upd_y, y0), dir_x)
+    rule, condition, stop = _RUN_RULES.get(key, _NO_RULE)
     cmp = ">=" if u1 >= u2 else "<"
-    condition = condition.format(u1=u1, u2=u2, cmp=cmp, direction=cls_x.direction.value)
+    condition = condition.format(u1=u1, u2=u2, cmp=cmp, direction=dir_x.value)
     dx0 = upd_x.first_difference(x0)
     dy0 = upd_y.first_difference(y0)
     if u1 > u2:

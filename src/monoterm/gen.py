@@ -17,7 +17,6 @@ from __future__ import annotations
 import random
 from functools import partial
 
-from .classifier import classify, direction
 from .model import (
     ClassKind,
     DiagonalFreeGuard,
@@ -31,6 +30,7 @@ from .model import (
     Update,
 )
 from .multipath import ROW_KEYS
+from .orbit import classify, direction
 from .parser import print_program
 
 SHAPES = ("single", "diagonal", "multipath")
@@ -73,7 +73,7 @@ def _update(rng: random.Random, kind: str, bound: int) -> Update:
 
 
 def _classifiable_update(rng: random.Random, bound: int) -> Update:
-    """Any update the classifier accepts (coefficient >= 0)."""
+    """Any update `classify` accepts (coefficient >= 0)."""
     return _update(rng, rng.choice(("const", "identity", "ra", "rg", "i")), bound)
 
 
@@ -133,7 +133,7 @@ def diagonal_for_pair(
     for _ in range(256):
         x0, y0 = _int(rng, bound), _int(rng, bound)
         upd_x, upd_y = candidate(kind_x), candidate(kind_y)
-        if classify(upd_x, x0).kind is not kind_x or classify(upd_y, y0).kind is not kind_y:
+        if classify(upd_x, x0) is not kind_x or classify(upd_y, y0) is not kind_y:
             continue
         guard = DiagonalGuard("x", "y", rng.choice(_BELOW_OPS + _ABOVE_OPS), _int(rng, bound))
         return LoopProgram(DiagonalLoop(guard, upd_x, upd_y), {"x": x0, "y": y0})

@@ -139,18 +139,6 @@ class ClassKind(Enum):
     __hash__ = object.__hash__
 
 
-class MonotoneClass(NamedTuple):
-    """Monotonicity class of an update relative to a start value.
-
-    ARITHMETIC: x := x + v (v != 0); GEOMETRIC: x := u * x (u > 1, start
-    != 0); AFFINE: x := u * x + v (u > 1, v != 0, off the fixed point);
-    CONSTANT: the orbit stays on update.apply(start) after at most one step.
-    """
-
-    kind: ClassKind
-    direction: Direction
-
-
 class SinglePathLoop(NamedTuple):
     """while (x op c) { x := f(x); }"""
 
@@ -285,19 +273,27 @@ class Terminating(NamedTuple):
         }
 
 
+#: Rule -> the fixed-point search that decides it: Algorithm 3 on Table 3's
+#: rows 21-22, Algorithm 4 on rows 23-24.
+_PROCEDURES = {"T3-row21": "alg3", "T3-row22": "alg3", "T3-row23": "alg4", "T3-row24": "alg4"}
+
+
 class NonTerminating(NamedTuple):
-    """The rule that decided non-termination and its witness; on Table 3's
-    rows 21-24, procedure names the fixed-point search, "alg3" or "alg4",
-    which the JSON witness carries as its last key."""
+    """The rule that decided non-termination and its witness."""
 
     rule: str
     witness: Witness
-    procedure: str | None = None
+
+    @property
+    def procedure(self) -> str | None:
+        """The rule's fixed-point search, "alg3" or "alg4", else None; the
+        JSON witness carries it as its last key."""
+        return _PROCEDURES.get(self.rule)
 
     def to_json(self) -> dict:
         witness = self.witness.to_json()
-        if self.procedure:
-            witness["procedure"] = self.procedure
+        if procedure := self.procedure:
+            witness["procedure"] = procedure
         return {"verdict": "nonterminating", "rule": self.rule, "witness": witness}
 
 

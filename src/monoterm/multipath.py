@@ -27,7 +27,6 @@ non-terminating alternations however long their cycle.
 
 from __future__ import annotations
 
-from .classifier import direction
 from .model import (
     SEARCH_BUDGET,
     CycleWitness,
@@ -45,7 +44,7 @@ from .model import (
     Verdict,
     Witness,
 )
-from .psi import escape_region
+from .orbit import direction, escape_region
 
 _CYCLE_EXPANSION_CAP = 50_000
 # A recurrent interval of at most this many integers is walked instead: the
@@ -399,6 +398,4 @@ def decide_multipath(loop: MultiPathLoop, init: Env, search_budget: int = SEARCH
     found = accelerated_walk(loop, x0, search_budget)
     if isinstance(found, (Terminating, Unsupported)):
         return found
-    # fixed-point search: Algorithm 3 for rows 21-22, Algorithm 4 for rows 23-24
-    procedure = "alg3" if 21 <= row <= 22 else "alg4" if 23 <= row <= 24 else None
-    return NonTerminating(f"T3-row{row}", nt_formula(row, loop, x0) or found, procedure)
+    return NonTerminating(f"T3-row{row}", nt_formula(row, loop, x0) or found)

@@ -8,7 +8,6 @@ step.
 
 from __future__ import annotations
 
-from .classifier import direction
 from .model import (
     CycleWitness,
     Direction,
@@ -19,7 +18,7 @@ from .model import (
     Terminating,
     Verdict,
 )
-from .psi import escape_region
+from .orbit import direction, escape_region
 
 RULE_LEMMA1 = "Lemma1"
 RULE_LEMMA1_CONST = "Lemma1-const"

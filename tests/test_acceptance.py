@@ -25,12 +25,11 @@ from monoterm import (
     decide,
     parse,
 )
-from monoterm.classifier import classify
 from monoterm.cli import main
 from monoterm.gen import diagonal_for_pair, generate_corpus, multipath_for_row
 from monoterm.model import ClassKind, DiagonalLoop, MultiPathLoop
 from monoterm.multipath import case_row, formula_applies
-from monoterm.psi import escape_region
+from monoterm.orbit import classify, direction, escape_region
 
 from conftest import brute_first_falsifier
 
@@ -154,14 +153,14 @@ def _is_search_instance(program) -> bool:
     shape = program.shape
     if isinstance(shape, DiagonalLoop):
         x0, y0 = program.init[shape.guard.lhs], program.init[shape.guard.rhs]
-        cls_x = classify(shape.lhs_update, x0)
-        cls_y = classify(shape.rhs_update, y0)
+        kind_x = classify(shape.lhs_update, x0)
+        kind_y = classify(shape.rhs_update, y0)
         same_direction = (
-            cls_x.direction is cls_y.direction
-            and cls_x.kind is not ClassKind.CONSTANT
-            and cls_y.kind is not ClassKind.CONSTANT
+            direction(shape.lhs_update, x0) is direction(shape.rhs_update, y0)
+            and kind_x is not ClassKind.CONSTANT
+            and kind_y is not ClassKind.CONSTANT
         )
-        return same_direction and (cls_x.kind, cls_y.kind) != (
+        return same_direction and (kind_x, kind_y) != (
             ClassKind.ARITHMETIC,
             ClassKind.ARITHMETIC,
         )

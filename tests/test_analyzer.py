@@ -12,6 +12,7 @@ from monoterm import (
     NonTerminating,
     RelOp,
     SinglePathLoop,
+    Terminating,
     UnboundVariableError,
     Unsupported,
     Update,
@@ -74,3 +75,19 @@ def test_hand_built_program_without_init_raises_unbound_variable():
     with pytest.raises(UnboundVariableError) as exc:
         decide(LoopProgram(shape, {}))
     assert exc.value.var == "x"
+
+
+@pytest.mark.parametrize("budget", (0, -3))
+def test_decide_rejects_a_search_budget_below_one(budget):
+    # like run's max_steps: the bound is refused before any loop is looked at,
+    # single-path loops (which take no budget) and loops that never enter included
+    for text in (
+        "init x = 3; while (x <= 10) { if (x <= 5) { x := x + 2; } else { x := x - 3; } }",
+        "init x = 0; init y = 0; while (x - y > 5) { x := 2 * x; y := y + 1; }",
+        "init x = 1; while (x > 0) { x := x - 1; }",
+    ):
+        with pytest.raises(ValueError, match="search_budget must be >= 1"):
+            decide(parse(text), search_budget=budget)
+    assert decide(parse("init x = 1; while (x > 0) { x := x - 1; }"), search_budget=1) == (
+        Terminating(1)
+    )

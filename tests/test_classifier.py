@@ -1,10 +1,12 @@
+"""orbit.direction and orbit.classify: one sign rule, and the class it reads."""
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from monoterm import Update
-from monoterm.classifier import classify, direction
 from monoterm.model import ClassKind, Direction, NonMonotoneUpdateError
+from monoterm.orbit import classify, direction
 
 
 def iterate(upd: Update, x0: int, n: int) -> int:
@@ -14,43 +16,40 @@ def iterate(upd: Update, x0: int, n: int) -> int:
     return x
 
 
+def kind_and_direction(upd: Update, x0: int) -> tuple[ClassKind, Direction]:
+    return classify(upd, x0), direction(upd, x0)
+
+
 def test_arithmetic_up():
-    cls = classify(Update(1, 1), 15)
-    assert cls.kind is ClassKind.ARITHMETIC
-    assert cls.direction is Direction.UP
+    assert kind_and_direction(Update(1, 1), 15) == (ClassKind.ARITHMETIC, Direction.UP)
 
 
 def test_geometric_up():
-    cls = classify(Update(2, 0), 3)
-    assert (cls.kind, cls.direction) == (ClassKind.GEOMETRIC, Direction.UP)
+    assert kind_and_direction(Update(2, 0), 3) == (ClassKind.GEOMETRIC, Direction.UP)
 
 
 def test_affine_down_from_negative_start():
     # rate 2, offset 1 from -5: first difference (2-1)*(-5)+1 = -4 < 0
-    cls = classify(Update(2, 1), -5)
-    assert (cls.kind, cls.direction) == (ClassKind.AFFINE, Direction.DOWN)
+    assert kind_and_direction(Update(2, 1), -5) == (ClassKind.AFFINE, Direction.DOWN)
     values = [iterate(Update(2, 1), -5, n) for n in range(10)]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
 def test_identity_is_constant():
-    cls = classify(Update(1, 0), 7)
-    assert (cls.kind, cls.direction) == (ClassKind.CONSTANT, Direction.FLAT)
+    assert kind_and_direction(Update(1, 0), 7) == (ClassKind.CONSTANT, Direction.FLAT)
 
 
 def test_direct_assignment_is_constant():
-    cls = classify(Update(0, 9), 100)
-    assert (cls.kind, cls.direction) == (ClassKind.CONSTANT, Direction.FLAT)
+    assert kind_and_direction(Update(0, 9), 100) == (ClassKind.CONSTANT, Direction.FLAT)
 
 
 def test_geometric_from_zero_collapses_to_constant():
-    assert classify(Update(2, 0), 0).kind is ClassKind.CONSTANT
+    assert classify(Update(2, 0), 0) is ClassKind.CONSTANT
 
 
 def test_affine_fixed_point_collapses_to_constant():
     # x := 2x + 4 fixes -4
-    cls = classify(Update(2, 4), -4)
-    assert (cls.kind, cls.direction) == (ClassKind.CONSTANT, Direction.FLAT)
+    assert kind_and_direction(Update(2, 4), -4) == (ClassKind.CONSTANT, Direction.FLAT)
 
 
 def test_negative_coefficient_rejected():
@@ -62,7 +61,7 @@ def test_negative_coefficient_rejected():
 
 def test_negative_coefficient_fixed_point_is_constant():
     # x := -x + 2 fixes 1; the orbit from 1 never moves
-    assert classify(Update(-1, 2), 1).kind is ClassKind.CONSTANT
+    assert kind_and_direction(Update(-1, 2), 1) == (ClassKind.CONSTANT, Direction.FLAT)
 
 
 updates = st.tuples(st.integers(0, 4), st.integers(-10, 10)).map(lambda t: Update(*t))
@@ -70,12 +69,12 @@ updates = st.tuples(st.integers(0, 4), st.integers(-10, 10)).map(lambda t: Updat
 
 @given(updates, st.integers(-50, 50))
 def test_direction_soundness(upd, x0):
-    cls = classify(upd, x0)
+    moves = direction(upd, x0)
     values = [iterate(upd, x0, n) for n in range(0, 101)]
     pairs = list(zip(values, values[1:]))
-    if cls.direction is Direction.UP:
+    if moves is Direction.UP:
         assert all(b > a for a, b in pairs)
-    elif cls.direction is Direction.DOWN:
+    elif moves is Direction.DOWN:
         assert all(b < a for a, b in pairs)
     else:
         assert all(b == a for a, b in pairs[1:])  # first step may jump to the pinned value
@@ -85,8 +84,8 @@ def test_direction_soundness(upd, x0):
 @example(-1, 0, 0)  # x := -x is flat at its fixed point 0
 @example(-1, 0, 5)  # and moves, alternating, everywhere else
 def test_classifier_totality(u, v, x0):
-    # direction is the one sign rule: classify agrees with it, and raises
-    # exactly where it raises, with the same text
+    # direction is the one sign rule: classify is CONSTANT exactly where it is
+    # FLAT, and raises exactly where it raises, with the same text
     upd = Update(u, v)
     try:
         moves = direction(upd, x0)
@@ -96,17 +95,17 @@ def test_classifier_totality(u, v, x0):
             classify(upd, x0)
         assert str(raised.value) == str(err)
         return
-    cls = classify(upd, x0)
-    assert cls.direction is moves
+    kind = classify(upd, x0)
+    assert (kind is ClassKind.CONSTANT) == (moves is Direction.FLAT)
     d = upd.first_difference(x0)
-    if cls.kind is ClassKind.CONSTANT:
-        assert (u == 0 or d == 0) and cls.direction is Direction.FLAT
+    if kind is ClassKind.CONSTANT:
+        assert u == 0 or d == 0
         return
-    assert cls.direction is (Direction.UP if d > 0 else Direction.DOWN)
-    if cls.kind is ClassKind.ARITHMETIC:
+    assert moves is (Direction.UP if d > 0 else Direction.DOWN)
+    if kind is ClassKind.ARITHMETIC:
         assert u == 1 and v != 0
-    elif cls.kind is ClassKind.GEOMETRIC:
+    elif kind is ClassKind.GEOMETRIC:
         assert u > 1 and v == 0 and x0 != 0
     else:
-        assert cls.kind is ClassKind.AFFINE
+        assert kind is ClassKind.AFFINE
         assert u > 1 and v != 0

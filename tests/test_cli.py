@@ -154,7 +154,7 @@ def test_analyze_json_recurrent_witness(capsys, loop_file):
     assert record["oracle"] == {"outcome": "cycle", "steps": 5, "agrees": True}
     # the certificate needs only the one jump that reaches its entry
     verdict = decide(parse(RECURRENT), search_budget=1)
-    assert verdict == NonTerminating("T3-row21", RecurrentWitness((-199, 300), 300, 1), "alg3")
+    assert verdict == NonTerminating("T3-row21", RecurrentWitness((-199, 300), 300, 1))
 
 
 def test_analyze_terminating_exit_code(capsys, loop_file):

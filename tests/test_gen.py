@@ -4,7 +4,6 @@ import random
 import pytest
 
 from monoterm import Unsupported, decide, parse
-from monoterm.classifier import classify
 from monoterm.gen import (
     diagonal_for_pair,
     generate_corpus,
@@ -13,6 +12,7 @@ from monoterm.gen import (
 )
 from monoterm.model import ClassKind, DiagonalLoop, MultiPathLoop, SinglePathLoop
 from monoterm.multipath import case_row
+from monoterm.orbit import classify
 from monoterm.parser import print_program
 
 
@@ -70,7 +70,7 @@ def test_mix_covers_all_shapes_and_classes():
             MultiPathLoop: lambda s: [("x", s.then_update), ("x", s.else_update)],
         }[type(program.shape)](program.shape):
             try:
-                kinds.add(classify(upd, program.init[var]).kind)
+                kinds.add(classify(upd, program.init[var]))
             except Exception:
                 pass
     assert shapes == {SinglePathLoop, DiagonalLoop, MultiPathLoop}
@@ -86,8 +86,8 @@ def test_targeted_constructors():
         for ky in ClassKind:
             program = diagonal_for_pair(rng, kx, ky, 20)
             shape = program.shape
-            assert classify(shape.lhs_update, program.init["x"]).kind is kx
-            assert classify(shape.rhs_update, program.init["y"]).kind is ky
+            assert classify(shape.lhs_update, program.init["x"]) is kx
+            assert classify(shape.rhs_update, program.init["y"]) is ky
 
 
 def test_generated_corpus_decides_cleanly():

@@ -65,8 +65,9 @@ PUBLIC_NAMES = [
 
 # Internals the deciders share, each importable from its module only.
 INTERNAL_HOMES = {
-    "classify": "classifier",
-    "MonotoneClass": "model",
+    "direction": "orbit",
+    "classify": "orbit",
+    "escape_region": "orbit",
     "ClassKind": "model",
     "Direction": "model",
     "NonMonotoneUpdateError": "model",
@@ -142,8 +143,7 @@ def test_value_types_keep_their_repr():
     assert repr(Terminating(0)) == "Terminating(iterations=0)"
     assert repr(Terminating(12)) == "Terminating(iterations=12)"
     assert repr(NonTerminating("lemma1", CycleWitness((3, 5)))) == (
-        "NonTerminating(rule='lemma1', witness=CycleWitness(values=(3, 5), sparse=False), "
-        "procedure=None)"
+        "NonTerminating(rule='lemma1', witness=CycleWitness(values=(3, 5), sparse=False))"
     )
     assert repr(Unsupported("walk budget spent", "budget")) == (
         "Unsupported(reason='walk budget spent', code='budget')"

@@ -200,7 +200,7 @@ def test_alternating_two_cycle():
     program = multipath("<=", 10, "<=", 5, (1, 2), (1, -2), 4)
     v = decide(program)
     assert isinstance(v, NonTerminating) and v.rule == "T3-row21"
-    assert v == NonTerminating("T3-row21", CycleWitness((4, 6)), "alg3")
+    assert v == NonTerminating("T3-row21", CycleWitness((4, 6)))
 
 
 def test_alg4_side():
@@ -292,7 +292,7 @@ def test_fixed_point_search_values_are_oracle_subsequence(example2):
 def test_fixed_point_search_wrapper_requires_rows_21_24(example2):
     found = accelerated_walk(example2.shape, 3)
     assert isinstance(found, CycleWitness)
-    assert decide(example2) == NonTerminating("T3-row21", found, "alg3")
+    assert decide(example2) == NonTerminating("T3-row21", found)
 
 
 def test_walk_budget_exhaustion_reports_unsupported(example2):
@@ -410,7 +410,7 @@ def test_rotation_checks_only_the_residue_class_of_v1(program, rule, cycle):
     v = accelerated_walk(program.shape, program.init["x"], trace=trace)
     assert v == CycleWitness(cycle)
     assert len(trace) == 2
-    assert decide(program) == NonTerminating(rule, v, "alg3" if rule == "T3-row21" else "alg4")
+    assert decide(program) == NonTerminating(rule, v)
 
 
 def test_trace_ends_at_the_recurrent_interval_entry():

@@ -1,10 +1,12 @@
+"""orbit.escape_region, the first falsifier (the paper's psi_a and psi'_a)."""
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import brute_first_falsifier
 from monoterm import AnalysisError, RelOp, Update
-from monoterm.psi import escape_region
+from monoterm.orbit import escape_region
 
 
 def escape(d, bound, op, upd):
