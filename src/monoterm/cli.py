@@ -1,18 +1,18 @@
 """Command-line driver: analyze one loop file, bench a corpus, or generate one.
 
 Exit codes for `analyze`: 0 terminating, 1 non-terminating, 2 unsupported,
-3 input error (usage errors, and a loop file that cannot be read, is not
-UTF-8 or does not parse), 4 internal error: `main` turns any other exception,
-in a command or while writing its output, into one `error: internal:` line.
-`bench` lists bad files and goes on; it exits 3 on a command-line input
-error (a path that is not a directory included), 4 if any file hit an
-internal error, else 0.  `gen` exits 3, before it creates anything, when
---count or --bound is below 1 or --cover-rows comes with fewer than 36 files
-or a shape other than multipath or mix, and exits 3 when it cannot write its
-output directory.  A verdict's integers may be wider than the parser's
-4300-digit literal limit; `main` lifts the interpreter's int-to-str limit
-while a command runs, so they print in full.  Library callers must lift it
-themselves.
+3 input error (usage errors, a bad --max-steps among them, and a loop file
+that cannot be read, is not UTF-8 or does not parse), 4 internal error:
+`main` turns any other exception, in a command or while writing its output,
+into one `error: internal:` line.  `bench` lists bad files and goes on; it
+exits 3 on a command-line input error (a path that is not a directory
+included), 4 if any file hit an internal error, else 0.  `gen` states no
+rule of its own: it exits 3, before it creates anything, with the message of
+`gen.check_corpus` when that rejects its arguments, and exits 3 when it
+cannot write its output directory.  A verdict's integers may be wider than
+the parser's 4300-digit literal limit; `main` lifts the interpreter's
+int-to-str limit while a command runs, so they print in full.  Library
+callers must lift it themselves.
 Decision times cover the decider call only (never parsing or the oracle)
 and are reported in milliseconds with microsecond digits.
 """
@@ -26,7 +26,7 @@ import time
 from pathlib import Path
 
 from .analyzer import decide
-from .gen import ROW_SHAPES, SHAPES, generate_corpus
+from .gen import SHAPES, check_corpus, generate_corpus
 from .interpreter import (
     DEFAULT_MAX_STEPS,
     Agreement,
@@ -36,7 +36,6 @@ from .interpreter import (
     agreement_check,
 )
 from .model import Unsupported
-from .multipath import ROW_KEYS
 from .parser import ParseError, parse
 
 _INPUT_ERRORS = (ParseError, OSError, UnicodeDecodeError)  # a bad loop file: exit 3
@@ -44,19 +43,14 @@ _INPUT_ERRORS = (ParseError, OSError, UnicodeDecodeError)  # a bad loop file: ex
 _VERDICTS = {"terminating": ("T", 0), "nonterminating": ("NT", 1), "unsupported": ("U", 2)}
 
 
-def _max_steps(flag: str | None) -> int:
-    """The oracle's step budget: --max-steps, else the default.
-
-    Raises ValueError with a one-line message unless it is an integer >= 1.
-    """
-    if flag is None:
-        return DEFAULT_MAX_STEPS
+def _max_steps(text: str) -> int:
+    """The argparse type of --max-steps, the oracle's step budget: an integer >= 1."""
     try:
-        value = int(flag)
+        value = int(text)
     except ValueError:
-        raise ValueError(f"--max-steps must be an integer, got {flag!r}") from None
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if value < 1:
-        raise ValueError(f"--max-steps must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
@@ -189,16 +183,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    for flag, value in (("--count", args.count), ("--bound", args.bound)):
-        if value < 1:
-            print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
-            return 3
-    if args.cover_rows and (args.count < len(ROW_KEYS) or args.shape not in ROW_SHAPES):
-        print(
-            f"error: --cover-rows needs --count {len(ROW_KEYS)} or more and --shape "
-            f"{' or '.join(ROW_SHAPES)}, got --count {args.count} --shape {args.shape}",
-            file=sys.stderr,
-        )
+    try:  # only the checker: a ValueError while drawing is an internal error
+        check_corpus(args.count, args.shape, args.bound, args.cover_rows)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
         return 3
     outdir = Path(args.outdir)
     files = generate_corpus(args.seed, args.count, args.shape, args.bound, args.cover_rows)
@@ -234,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=help_text)
         command.add_argument(target)
         command.add_argument("--oracle-check", action="store_true")
-        command.add_argument("--max-steps", default=None)
+        command.add_argument("--max-steps", type=_max_steps, default=DEFAULT_MAX_STEPS)
         command.add_argument("--format", choices=("text", "json"), default="text")
         command.set_defaults(func=func)
 
@@ -251,12 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(args, "max_steps"):
-        try:
-            args.max_steps = _max_steps(args.max_steps)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 3
     # Python 3.10.0-3.10.6 have no int-to-str digit limit to lift.
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit:

@@ -140,6 +140,21 @@ def diagonal_for_pair(
     raise AssertionError(f"could not construct a ({kind_x}, {kind_y}) diagonal instance")
 
 
+def check_corpus(count: int, shape: str, bound: int, cover_rows: bool) -> None:
+    """Raise ValueError, naming the first rule broken, unless generate_corpus may run."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
+    if shape not in SHAPES + ("mix",):
+        raise ValueError(f"shape must be one of {', '.join(SHAPES)} or mix, not {shape!r}")
+    if cover_rows and (count < len(ROW_KEYS) or shape not in ROW_SHAPES):
+        raise ValueError(
+            f"cover_rows needs count >= {len(ROW_KEYS)} and shape {' or '.join(ROW_SHAPES)},"
+            f" got count {count} and shape {shape!r}"
+        )
+
+
 def generate_corpus(
     seed: int,
     count: int,
@@ -148,14 +163,7 @@ def generate_corpus(
     cover_rows: bool = False,
 ) -> list[tuple[str, str]]:
     """(filename, text) pairs; deterministic in all arguments."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    if shape not in SHAPES + ("mix",):
-        raise ValueError(f"shape must be one of {', '.join(SHAPES)} or mix, not {shape!r}")
-    if cover_rows and (count < len(ROW_KEYS) or shape not in ROW_SHAPES):
-        raise ValueError(f"cover_rows needs count >= {len(ROW_KEYS)} and shape in {ROW_SHAPES}")
+    check_corpus(count, shape, bound, cover_rows)
     rng = random.Random(seed)
     files = []
     for i in range(count):

@@ -198,20 +198,23 @@ class _Parser:
         if _is_ident(tok):
             self.pos += 1
             self._check_self_reference(tok, assigned)
-            if self.accept("+"):
-                return Update(1, self.integer())
-            if self.accept("-"):
-                return Update(1, -self.integer())
-            raise self.error("'+' or '-'")
+            offset = self.offset()
+            if offset is None:
+                raise self.error("'+' or '-'")
+            return Update(1, offset)
         value = self.integer()
         if self.accept("*"):
             self._check_self_reference(self.ident(), assigned)
-            if self.accept("+"):
-                return Update(value, self.integer())
-            if self.accept("-"):
-                return Update(value, -self.integer())
-            return Update(value, 0)
+            return Update(value, self.offset() or 0)
         return Update(0, value)
+
+    def offset(self) -> int | None:
+        """A signed `+ int` or `- int` tail, or None if neither sign comes next."""
+        if self.accept("+"):
+            return self.integer()
+        if self.accept("-"):
+            return -self.integer()
+        return None
 
     @staticmethod
     def _check_self_reference(read: str, assigned: str) -> None:

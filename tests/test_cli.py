@@ -7,6 +7,7 @@ from jsonschema import validate
 
 from monoterm import CycleWitness, NonTerminating, RecurrentWitness, decide, parse
 from monoterm.cli import _summary_counts, main
+from monoterm.gen import generate_corpus
 from monoterm.interpreter import DIVERGENCE_WINDOW
 
 from conftest import NEG_FIXED_POINT, NEG_MOVING
@@ -256,28 +257,37 @@ def test_bench_on_a_missing_path_or_a_file_is_an_input_error(capsys, tmp_path, l
             assert captured.err == f"error: {target}: not a directory\n"
 
 
-@pytest.mark.parametrize(
-    "argv_tail, message",
-    [
-        (["--count", "20", "--bound", "0"], "--bound must be at least 1, got 0"),
-        (["--count", "20", "--bound", "-3"], "--bound must be at least 1, got -3"),
-        (["--count", "0"], "--count must be at least 1, got 0"),
-        (["--count", "-2"], "--count must be at least 1, got -2"),
-        (
-            ["--count", "10", "--shape", "multipath", "--cover-rows"],
-            "--cover-rows needs --count 36 or more and --shape multipath or mix,"
-            " got --count 10 --shape multipath",
-        ),
-        (
-            ["--count", "36", "--shape", "diagonal", "--cover-rows"],
-            "--cover-rows needs --count 36 or more and --shape multipath or mix,"
-            " got --count 36 --shape diagonal",
-        ),
-    ],
-)
-def test_gen_rejects_bad_count_or_bound_before_writing(capsys, tmp_path, argv_tail, message):
+# (count, shape, bound, cover_rows) that gen.check_corpus rejects, and its message
+REJECTED_CORPORA = {
+    "bound-0": (20, "mix", 0, False, "bound must be >= 1, got 0"),
+    "bound-negative": (20, "mix", -3, False, "bound must be >= 1, got -3"),
+    "count-0": (0, "mix", 20, False, "count must be >= 1, got 0"),
+    "count-negative": (-2, "mix", 20, False, "count must be >= 1, got -2"),
+    "count-before-bound": (0, "mix", 0, False, "count must be >= 1, got 0"),
+    "cover-rows-few-files": (
+        10, "multipath", 20, True,
+        "cover_rows needs count >= 36 and shape multipath or mix,"
+        " got count 10 and shape 'multipath'",
+    ),
+    "cover-rows-diagonal": (
+        36, "diagonal", 20, True,
+        "cover_rows needs count >= 36 and shape multipath or mix,"
+        " got count 36 and shape 'diagonal'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_CORPORA.values(), ids=REJECTED_CORPORA.keys())
+def test_gen_prints_the_generators_message_before_writing(capsys, tmp_path, case):
+    # one owner: the CLI prints exactly what generate_corpus raises
+    count, shape, bound, cover_rows, message = case
+    with pytest.raises(ValueError) as exc:
+        generate_corpus(1, count, shape, bound, cover_rows)
+    assert str(exc.value) == message
     outdir = tmp_path / "out"
-    assert main(["gen", str(outdir), "--seed", "1"] + argv_tail) == 3
+    argv = ["gen", str(outdir), "--seed", "1", "--count", str(count), "--shape", shape]
+    argv += ["--bound", str(bound)] + (["--cover-rows"] if cover_rows else [])
+    assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
@@ -376,18 +386,24 @@ def test_overlong_integer_literal_is_a_syntax_error(capsys, tmp_path, loop_file)
 @pytest.mark.parametrize(
     "argv_tail, message",
     [
-        (["--max-steps", "0"], "--max-steps must be at least 1, got 0"),
-        (["--max-steps", "-5"], "--max-steps must be at least 1, got -5"),
-        (["--max-steps", "abc"], "--max-steps must be an integer, got 'abc'"),
+        (["--max-steps", "0"], "must be >= 1, got 0"),
+        (["--max-steps", "-5"], "must be >= 1, got -5"),
+        (["--max-steps", "abc"], "must be an integer, got 'abc'"),
     ],
 )
 def test_bad_step_budget_is_an_input_error(capsys, loop_file, argv_tail, message):
+    # a usage error like any other: argparse's usage line, then one error line
     path = loop_file("up.loop", "init x = 1; while (x > 0) { x := x + 1; }")
     for command in (["analyze", str(path)], ["bench", str(path.parent)]):
-        assert main(command + ["--oracle-check"] + argv_tail) == 3
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--oracle-check"] + argv_tail)
+        assert exc.value.code == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert captured.err.startswith(f"usage: monoterm {command[0]} ")
+        assert captured.err.endswith(
+            f"\nmonoterm {command[0]}: error: argument --max-steps: {message}\n"
+        )
 
 
 def test_bench_json_is_json_dumps_indent2(capsys, tmp_path, loop_file):

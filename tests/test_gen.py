@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -39,7 +40,11 @@ def test_corpus_rejects_unknown_shapes():
 )
 def test_cover_rows_rejects_too_few_files_or_a_shape_without_multipath(count, shape):
     # either would leave some case-table row without an instance
-    with pytest.raises(ValueError, match="cover_rows needs count >= 36"):
+    message = (
+        f"cover_rows needs count >= 36 and shape multipath or mix, got count {count}"
+        f" and shape {shape!r}"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
         generate_corpus(7, count, shape, 20, True)
 
 

@@ -521,7 +521,7 @@ def _replays(program, witness) -> bool:
 @st.composite
 def small_multipath_programs(draw):
     """Both branches take coefficients -2..5; a third of them start at their
-    fixed point, which the classifier calls constant whatever the coefficient."""
+    fixed point, where `orbit.direction` is FLAT whatever the coefficient."""
     ops, ints = st.sampled_from(["<", "<=", ">", ">="]), st.integers(-30, 30)
     x0 = draw(ints)
 
