@@ -3,19 +3,12 @@
 Decides, for given initial values, whether a single-path, diagonal, or
 two-branch multipath loop with linear monotone updates terminates, and
 backs every non-termination verdict with a machine-checkable witness.
-A bounded concrete interpreter serves as the independent oracle.
+A bounded concrete interpreter serves as the independent oracle.  It is
+imported on first access to one of its names, so a caller that only decides
+never loads it.
 """
 
 from .analyzer import decide
-from .interpreter import (
-    Agreement,
-    BoundExhausted,
-    CycleDetected,
-    OracleResult,
-    TerminatedIn,
-    agreement_check,
-    run,
-)
 from .model import (
     AnalysisError,
     CycleWitness,
@@ -79,3 +72,18 @@ __all__ = [
     "ShapeError",
     "MissingInitError",
 ]
+
+# The oracle's exports, resolved from .interpreter on first access (PEP 562).
+_ORACLE_NAMES = {
+    "run", "agreement_check", "Agreement", "TerminatedIn", "CycleDetected", "BoundExhausted",
+    "OracleResult",
+}
+
+
+def __getattr__(name: str):
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import interpreter
+
+    value = globals()[name] = getattr(interpreter, name)
+    return value

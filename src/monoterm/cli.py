@@ -5,37 +5,36 @@ Exit codes for `analyze`: 0 terminating, 1 non-terminating, 2 unsupported,
 that cannot be read, is not UTF-8 or does not parse), 4 internal error:
 `main` turns any other exception, in a command or while writing its output,
 into one `error: internal:` line.  `bench` lists bad files and goes on; it
-exits 3 on a command-line input error (a path that is not a directory
-included), 4 if any file hit an internal error, else 0.  `gen` states no
-rule of its own: it exits 3, before it creates anything, with the message of
-`gen.check_corpus` when that rejects its arguments, and exits 3 when it
-cannot write its output directory.  A verdict's integers may be wider than
+exits 3 on a command-line input error (a path that is not a directory, or
+that cannot be listed, included), 4 if any file hit an internal error, else
+0.  `gen` states no rule of its own, its shapes among them: it exits 3,
+before it creates anything, with the message of `gen.check_corpus` when that
+rejects its arguments, and exits 3 when it cannot write its output directory.  A verdict's integers may be wider than
 the parser's 4300-digit literal limit; `main` lifts the interpreter's
 int-to-str limit while a command runs, so they print in full.  Library
 callers must lift it themselves.
 Decision times cover the decider call only (never parsing or the oracle)
 and are reported in milliseconds with microsecond digits.
+
+A process pays only for what its command runs.  `bench` lists its directory
+once with `os.listdir` and keeps the names that end in `.loop`, in sorted
+order.  A loop file is read as bytes and decoded as strict UTF-8 with no
+newline translation, so an error is located where `parse()` locates it on
+the same text.  The oracle (`interpreter`) is imported only for
+`--oracle-check`, and the generator (`gen`) only by `gen`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 from .analyzer import decide
-from .gen import SHAPES, check_corpus, generate_corpus
-from .interpreter import (
-    DEFAULT_MAX_STEPS,
-    Agreement,
-    BoundExhausted,
-    CycleDetected,
-    TerminatedIn,
-    agreement_check,
-)
-from .model import Unsupported
+from .model import DEFAULT_MAX_STEPS, LoopProgram, Unsupported, Verdict
 from .parser import ParseError, parse
 
 _INPUT_ERRORS = (ParseError, OSError, UnicodeDecodeError)  # a bad loop file: exit 3
@@ -58,7 +57,11 @@ def _internal_error(err: Exception) -> str:
     return f"internal: {type(err).__name__}: {err}"
 
 
-def _oracle_json(agreement: Agreement) -> dict:
+def _oracle_json(program: LoopProgram, verdict: Verdict, max_steps: int) -> dict:
+    """The `oracle` field of a record: the interpreter's replay of the verdict."""
+    from .interpreter import BoundExhausted, CycleDetected, TerminatedIn, agreement_check
+
+    agreement = agreement_check(program, verdict, max_steps)
     result = agreement.oracle
     if isinstance(result, TerminatedIn):
         outcome, steps = "terminated", result.steps
@@ -77,13 +80,13 @@ def _oracle_json(agreement: Agreement) -> dict:
 
 def _analyze_one(path: Path, max_steps: int, oracle_check: bool) -> dict:
     """Analysis record for one file; raises one of _INPUT_ERRORS on bad input."""
-    program = parse(path.read_text(encoding="utf-8"))
+    program = parse(path.read_bytes().decode("utf-8"))
     start = time.perf_counter()
     verdict = decide(program)
     decision_ms = (time.perf_counter() - start) * 1000.0
     record = {"file": str(path), **verdict.to_json(), "decision_ms": round(decision_ms, 6)}
     if oracle_check and not isinstance(verdict, Unsupported):
-        record["oracle"] = _oracle_json(agreement_check(program, verdict, max_steps))
+        record["oracle"] = _oracle_json(program, verdict, max_steps)
     return record
 
 
@@ -137,7 +140,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not directory.is_dir():
         print(f"error: {directory}: not a directory", file=sys.stderr)
         return 3
-    files = sorted(directory.glob("*.loop"))
+    try:
+        names = sorted(name for name in os.listdir(directory) if name.endswith(".loop"))
+    except OSError as err:  # a directory that cannot be listed
+        print(f"error: {directory}: {err}", file=sys.stderr)
+        return 3
+    files = [directory / name for name in names]
     records: list[dict] = []
     errors: list[tuple[Path, str]] = []
     internal = False
@@ -183,6 +191,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .gen import check_corpus, generate_corpus
+
     try:  # only the checker: a ValueError while drawing is an internal error
         check_corpus(args.count, args.shape, args.bound, args.cover_rows)
     except ValueError as err:
@@ -230,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("outdir")
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--count", type=int, required=True)
-    gen.add_argument("--shape", choices=SHAPES + ("mix",), default="mix")
+    gen.add_argument("--shape", default="mix")
     gen.add_argument("--bound", type=int, default=20)
     gen.add_argument("--cover-rows", action="store_true")
     gen.set_defaults(func=cmd_gen)

@@ -43,6 +43,12 @@ _PAIR_KINDS = {ClassKind.ARITHMETIC: "ra", ClassKind.GEOMETRIC: "rg", ClassKind.
 _CONSTANT, _UP, _FLAT = ClassKind.CONSTANT, Direction.UP, Direction.FLAT
 
 
+def _check_bound(bound: int) -> None:
+    """Raise ValueError for a bound below 1, for which _nonzero would redraw forever."""
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
+
+
 def _int(rng: random.Random, bound: int) -> int:
     return rng.randint(-bound, bound)
 
@@ -91,6 +97,7 @@ def _directed_update(rng: random.Random, want: Direction, x0: int, bound: int) -
 
 def random_program(rng: random.Random, shape: str, bound: int) -> LoopProgram:
     """A random loop of one of SHAPES, with classifiable updates."""
+    _check_bound(bound)
     if shape not in SHAPES:
         raise ValueError(f"shape must be one of {', '.join(SHAPES)}, not {shape!r}")
     upd = partial(_classifiable_update, rng, bound)
@@ -109,6 +116,7 @@ def random_program(rng: random.Random, shape: str, bound: int) -> LoopProgram:
 
 def multipath_for_row(rng: random.Random, row: int, bound: int) -> LoopProgram:
     """A multipath program that lands on the given row by construction."""
+    _check_bound(bound)
     phi_below, cond_below, dir1, dir2 = ROW_KEYS[row]
     phi_op = rng.choice(_BELOW_OPS if phi_below else _ABOVE_OPS)
     cond_op = rng.choice(_BELOW_OPS if cond_below else _ABOVE_OPS)
@@ -124,6 +132,7 @@ def diagonal_for_pair(
     rng: random.Random, kind_x: ClassKind, kind_y: ClassKind, bound: int
 ) -> LoopProgram:
     """A diagonal program whose updates classify exactly as the given kinds."""
+    _check_bound(bound)
 
     def candidate(kind: ClassKind) -> Update:
         if kind is _CONSTANT:
@@ -144,8 +153,7 @@ def check_corpus(count: int, shape: str, bound: int, cover_rows: bool) -> None:
     """Raise ValueError, naming the first rule broken, unless generate_corpus may run."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
+    _check_bound(bound)
     if shape not in SHAPES + ("mix",):
         raise ValueError(f"shape must be one of {', '.join(SHAPES)} or mix, not {shape!r}")
     if cover_rows and (count < len(ROW_KEYS) or shape not in ROW_SHAPES):

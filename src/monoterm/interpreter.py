@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple, Union
 
 from .model import (
+    DEFAULT_MAX_STEPS,
     DiagonalLoop,
     LoopProgram,
     RelOp,
@@ -21,7 +22,6 @@ from .model import (
     Verdict,
 )
 
-DEFAULT_MAX_STEPS = 10**6
 DIVERGENCE_WINDOW = 100
 
 

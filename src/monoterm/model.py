@@ -101,6 +101,8 @@ Env = dict[str, int]
 #: Iterations of the diagonal search, or jumps of the multipath walk, that a
 #: decider takes before it gives up with an Unsupported verdict.
 SEARCH_BUDGET = 10**6
+#: Steps the interpreter oracle runs a loop for before it reports BoundExhausted.
+DEFAULT_MAX_STEPS = 10**6
 
 
 class Update(NamedTuple):

@@ -20,11 +20,14 @@ One body statement makes a single-path loop, two make a diagonal loop
 syntactically valid but outside those three shapes is a ShapeError,
 never a silent reinterpretation.
 
-Tokenizing is one `findall` pass of `_TOKEN_RE`, which yields plain token
-strings; the parser compares strings and keeps only an index into them.
-When it raises, it scans the text again with the same regular expression
-to find the (line, col) of the offending token.  A character that starts
-no token is reported before any other error, as if tokenizing came first.
+Tokenizing is one `findall` pass of `_TOKEN_RE`.  Each match skips the
+whitespace and comments before a token and captures the token, so the list
+holds plain token strings and then '' for the end of input; the parser
+compares strings and keeps only an index into them.  When it raises, it
+scans the text again with the same regular expression to find the
+(line, col) of the offending token.  Only '\n' ends a line: a '\r' is
+whitespace that starts no line.  A character that starts no token is
+reported before any other error, as if tokenizing came first.
 """
 
 from __future__ import annotations
@@ -74,12 +77,15 @@ class MissingInitError(ParseError):
 _KEYWORDS = {"init", "while", "if", "else"}
 _PUNCT = {"<=", ">=", ":=", "<", ">", "=", ";", "(", ")", "{", "}", "+", "*", "-"}
 _RELOPS = {op.value: op for op in RelOp}
-# One findall() pass is the whole tokenizer: whitespace and comments match with
-# group 1 empty, and each token is group 1.  `int` is decimal digits only, so a
-# word never starts with one; a word that starts with another numeric character
-# ('²', '½') is rejected by _check_tokens.  Whitespace is ' ', tab, CR and LF
-# only: any other character, '\v' included, matches `.` and is rejected there.
-_TOKEN_RE = re.compile(r"[ \t\r\n]+|#[^\n]*|(\d+|\w+|<=|>=|:=|[<>=;(){}+*-]|.)")
+# One findall() pass is the whole tokenizer: each match skips whitespace and
+# comments, and group 1 is the token after them, or '' at the end of input
+# (text that ends in whitespace or a comment yields a second '', which the
+# parser never reads).  `int` is decimal digits only, so a word never starts
+# with one; a word that starts with another numeric character ('²', '½') is
+# rejected by _check_tokens.  Whitespace is ' ', tab, CR and LF only: any other
+# character, '\v' included, matches `.` and is rejected there.  The skip never
+# backtracks: after it, `.` or `\Z` always matches.
+_TOKEN_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*(\d+|\w+|<=|>=|:=|[<>=;(){}+*-]|.|\Z)")
 
 
 def _is_ident(tok: str) -> bool:
@@ -95,20 +101,19 @@ def _scan(text: str) -> Iterator[tuple[str, int, int]]:
     comment is located at the comment's '#'.
     """
     line, line_start = 1, 0  # line_start: offset of the current line's first character
-    end_col = None
     for m in _TOKEN_RE.finditer(text):
-        tok, start = m.group(1), m.start()
+        skip_start, start = m.start(), m.start(1)
+        newlines = text.count("\n", skip_start, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", skip_start, start) + 1
+        tok = m.group(1)
         if tok:
             yield tok, line, start - line_start + 1
             continue
-        skipped = m.group()
-        if skipped[0] == "#":
-            end_col = start - line_start + 1
-        elif "\n" in skipped:
-            line += skipped.count("\n")
-            line_start = start + skipped.rindex("\n") + 1
-            end_col = None
-    yield "", line, len(text) - line_start + 1 if end_col is None else end_col
+        comment = text.find("#", max(skip_start, line_start), start)
+        yield "", line, (start if comment < 0 else comment) - line_start + 1
+        return
 
 
 def _check_tokens(text: str) -> None:
@@ -127,7 +132,7 @@ def _shown(tok: str) -> str:
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = [*filter(None, _TOKEN_RE.findall(text)), ""]  # "": end of input
+        self.tokens = _TOKEN_RE.findall(text)  # ends in "": end of input
         self.pos = 0
 
     def error(self, expected: str, found: str | None = None) -> LoopSyntaxError:

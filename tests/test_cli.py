@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 from jsonschema import validate
 
-from monoterm import CycleWitness, NonTerminating, RecurrentWitness, decide, parse
+from monoterm import CycleWitness, NonTerminating, ParseError, RecurrentWitness, decide, parse
 from monoterm.cli import _summary_counts, main
 from monoterm.gen import generate_corpus
 from monoterm.interpreter import DIVERGENCE_WINDOW
@@ -264,6 +264,10 @@ REJECTED_CORPORA = {
     "count-0": (0, "mix", 20, False, "count must be >= 1, got 0"),
     "count-negative": (-2, "mix", 20, False, "count must be >= 1, got -2"),
     "count-before-bound": (0, "mix", 0, False, "count must be >= 1, got 0"),
+    "shape-unknown": (
+        20, "cube", 20, False,
+        "shape must be one of single, diagonal, multipath or mix, not 'cube'",
+    ),
     "cover-rows-few-files": (
         10, "multipath", 20, True,
         "cover_rows needs count >= 36 and shape multipath or mix,"
@@ -415,6 +419,50 @@ def test_bench_json_is_json_dumps_indent2(capsys, tmp_path, loop_file):
     records = json.loads(out)
     assert [r.get("witness", {}).get("kind") for r in records] == ["cycle", "formula", None]
     assert out == json.dumps(records, indent=2) + "\n"
+
+
+# a syntax error on the second line, with each line end the CLI may meet
+LINE_END_ERRORS = {
+    "crlf": b"init x = 1;\r\nwhile (x < 5) { x := x }\r\n",
+    "lone-cr": b"init x = 1;\rwhile (x < 5) { x := x }\r",
+}
+
+
+@pytest.mark.parametrize("data", LINE_END_ERRORS.values(), ids=LINE_END_ERRORS.keys())
+def test_analyze_locates_an_error_where_parse_does(capsys, tmp_path, data):
+    # the CLI reads bytes with no newline translation: only "\n" ends a line
+    path = tmp_path / "bad.loop"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        parse(data.decode("utf-8"))
+    assert main(["analyze", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {exc.value}\n"
+
+
+def test_crlf_and_lf_files_decide_the_same(capsys, tmp_path):
+    (tmp_path / "lf.loop").write_bytes(EXAMPLE2.encode())
+    (tmp_path / "crlf.loop").write_bytes(EXAMPLE2.replace("\n", "\r\n").encode())
+    (tmp_path / "latin1.loop").write_bytes(NOT_UTF8)
+    assert main(["analyze", str(tmp_path / "latin1.loop")]) == 3
+    assert main(["bench", str(tmp_path), "--format", "json", "--oracle-check"]) == 0
+    crlf, lf, latin1 = json.loads(capsys.readouterr().out)  # error records come last
+    for record in (crlf, lf):
+        del record["file"], record["decision_ms"]
+    assert crlf == lf and lf["verdict"] == "nonterminating" and lf["oracle"]["agrees"]
+    assert sorted(latin1) == ["error", "file"]
+
+
+def test_bench_on_a_directory_it_cannot_list_is_an_input_error(capsys, tmp_path, monkeypatch):
+    def denied(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr("monoterm.cli.os.listdir", denied)
+    assert main(["bench", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path}: [Errno 13] Permission denied: '{tmp_path}'\n"
 
 
 def _raise_internal(*args, **kwargs):

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+from functools import partial
 
 import pytest
 
@@ -26,6 +27,28 @@ def test_corpus_rejects_bound_or_count_below_one():
     for count, bound in ((20, 0), (20, -3), (0, 20)):
         with pytest.raises(ValueError):
             generate_corpus(1, count, bound=bound)
+
+
+DRAWERS = {
+    **{f"random-{shape}": partial(random_program, shape=shape)
+       for shape in ("single", "diagonal", "multipath")},
+    "row-21": partial(multipath_for_row, row=21),
+    "pair-affine-geometric": partial(
+        diagonal_for_pair, kind_x=ClassKind.AFFINE, kind_y=ClassKind.GEOMETRIC
+    ),
+}
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+@pytest.mark.parametrize("drawer", DRAWERS.values(), ids=DRAWERS.keys())
+def test_drawers_reject_a_bound_below_one_before_any_draw(drawer, bound):
+    # a bound below 1 would make _nonzero redraw randint(0, 0) forever
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(ValueError) as exc:
+        drawer(rng, bound=bound)
+    assert str(exc.value) == f"bound must be >= 1, got {bound}"
+    assert rng.getstate() == state
 
 
 def test_corpus_rejects_unknown_shapes():

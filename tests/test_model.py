@@ -184,12 +184,47 @@ def test_functions_read_enum_members_through_aliases():
     assert reads == []
 
 
-def test_importing_the_cli_leaves_dataclasses_out():
+def _fresh_python(code: str, *args: str) -> str:
+    """stdout of `code` run in a new interpreter that imports this package's source."""
     src = Path(monoterm.__file__).resolve().parents[1]
-    code = "import sys, monoterm.cli; print('dataclasses' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-S", "-c", code],
+        [sys.executable, "-S", "-c", code, *args],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_importing_the_cli_leaves_dataclasses_out():
+    code = "import sys, monoterm.cli; print('dataclasses' in sys.modules)"
+    assert _fresh_python(code) == "False"
+
+
+# Runs the CLI on argv, then prints which of the oracle and the generator it loaded.
+LOADED_BY_MAIN = """
+import contextlib, io, sys
+from monoterm.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])
+print(*[name for name in ("monoterm.gen", "monoterm.interpreter") if name in sys.modules])
+"""
+
+
+def test_bench_loads_the_oracle_only_for_oracle_check_and_never_the_generator(tmp_path):
+    (tmp_path / "a.loop").write_text("init x = 3; while (x > 0) { x := x + 1; }\n")
+    argv = ("bench", str(tmp_path), "--format", "json")
+    assert _fresh_python(LOADED_BY_MAIN, *argv) == ""
+    assert _fresh_python(LOADED_BY_MAIN, *argv, "--oracle-check") == "monoterm.interpreter"
+
+
+def test_star_import_loads_the_oracles_names_on_first_access():
+    code = (
+        "import sys, monoterm\n"
+        "loaded = 'monoterm.interpreter' in sys.modules\n"
+        "namespace = {}\n"
+        "exec('from monoterm import *', namespace)\n"
+        "from monoterm import interpreter\n"
+        "print(loaded, sum(name in namespace for name in monoterm.__all__),"
+        " monoterm.run is interpreter.run, namespace['run'] is interpreter.run)"
+    )
+    assert _fresh_python(code) == "False 32 True True"
