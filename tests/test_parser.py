@@ -108,6 +108,36 @@ def test_end_of_input_is_named_the_same_by_every_expectation():
     assert str(exc.value) == "2:13: expected ')', found end of input"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the end of input after a trailing comment is located at its '#'
+        ("init x = 1;\nwhile (x < 5) # open", "2:15: expected '{', found end of input"),
+        ("init x = 1;\n# only a comment", "2:1: expected 'while', found end of input"),
+        # ... unless a '\n' ends that comment
+        ("init x = 1;\nwhile (x < 5) # open\n", "3:1: expected '{', found end of input"),
+        # a character that starts no token comes before a syntax error ahead of it
+        ("init x = 1\nwhile (x < 5) { x := x + 1; } $", "2:31: expected a token, found '$'"),
+        # ... before a ShapeError
+        ("init x = 1; while (x - x > 0) { x := x + 1; } $", "1:47: expected a token, found '$'"),
+        # ... and before a MissingInitError
+        ("init y = 1; while (x < 5) { x := x + 1; } ²", "1:43: expected a token, found '²'"),
+    ],
+    ids=[
+        "end-after-comment",
+        "end-after-comment-only",
+        "end-after-comment-line",
+        "bad-char-before-syntax-error",
+        "bad-char-before-shape-error",
+        "bad-char-before-missing-init",
+    ],
+)
+def test_error_location_rules(text, message):
+    with pytest.raises(LoopSyntaxError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 MUTATION_CHARS = list("xy_q09 \t\n\r#;:=<>(){}+-*") + ["²", "\v", "é", "٣", "$", "while"]
 
 
