@@ -9,10 +9,11 @@ exits 3 on a command-line input error (a path that is not a directory, or
 that cannot be listed, included), 4 if any file hit an internal error, else
 0.  `gen` states no rule of its own, its shapes among them: it exits 3,
 before it creates anything, with the message of `gen.check_corpus` when that
-rejects its arguments, and exits 3 when it cannot write its output directory.  A verdict's integers may be wider than
-the parser's 4300-digit literal limit; `main` lifts the interpreter's
-int-to-str limit while a command runs, so they print in full.  Library
-callers must lift it themselves.
+rejects its arguments, and exits 3 when it cannot write its output
+directory.  A verdict's integers may be wider than the parser's 4300-digit
+literal limit; `main` lifts the interpreter's int-to-str limit while a
+command runs, so they print in full.  Library callers must lift it
+themselves.
 Decision times cover the decider call only (never parsing or the oracle)
 and are reported in milliseconds with microsecond digits.
 

@@ -23,17 +23,19 @@ never a silent reinterpretation.
 Tokenizing is one `findall` pass of `_TOKEN_RE`.  Each match skips the
 whitespace and comments before a token and captures the token, so the list
 holds plain token strings and then '' for the end of input; the parser
-compares strings and keeps only an index into them.  When it raises, it
-scans the text again with the same regular expression to find the
-(line, col) of the offending token.  Only '\n' ends a line: a '\r' is
-whitespace that starts no line.  A character that starts no token is
-reported before any other error, as if tokenizing came first.
+compares strings and keeps only an index into them.  Only an error needs a
+position: `_locate(text, index)` takes the index-th match of the same regular
+expression and counts the '\n' before its token.  Only '\n' ends a line: a
+'\r' is whitespace that starts no line.  The end of input of a text that ends
+in a comment is located at that comment's '#'.  A character that starts no
+token is reported before any other error, as if tokenizing came first: when
+parsing fails, parse() looks through the token list it already holds for the
+first such character and locates only that one.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
 from itertools import islice
 
 from .model import (
@@ -82,7 +84,7 @@ _RELOPS = {op.value: op for op in RelOp}
 # (text that ends in whitespace or a comment yields a second '', which the
 # parser never reads).  `int` is decimal digits only, so a word never starts
 # with one; a word that starts with another numeric character ('²', '½') is
-# rejected by _check_tokens.  Whitespace is ' ', tab, CR and LF only: any other
+# rejected by parse().  Whitespace is ' ', tab, CR and LF only: any other
 # character, '\v' included, matches `.` and is rejected there.  The skip never
 # backtracks: after it, `.` or `\Z` always matches.
 _TOKEN_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*(\d+|\w+|<=|>=|:=|[<>=;(){}+*-]|.|\Z)")
@@ -94,34 +96,19 @@ def _is_ident(tok: str) -> bool:
     return (first.isalpha() or first == "_") and tok not in _KEYWORDS
 
 
-def _scan(text: str) -> Iterator[tuple[str, int, int]]:
-    """(token, line, col) per token, then ('', line, col) for the end of input.
+def _locate(text: str, index: int) -> tuple[int, int]:
+    """(line, col) of the token of the index-th match of _TOKEN_RE in text.
 
-    Only error reporting calls this; the end of input of a text that ends in a
-    comment is located at the comment's '#'.
+    The end of input of a text that ends in a comment is located at the '#'.
     """
-    line, line_start = 1, 0  # line_start: offset of the current line's first character
-    for m in _TOKEN_RE.finditer(text):
-        skip_start, start = m.start(), m.start(1)
-        newlines = text.count("\n", skip_start, start)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", skip_start, start) + 1
-        tok = m.group(1)
-        if tok:
-            yield tok, line, start - line_start + 1
-            continue
-        comment = text.find("#", max(skip_start, line_start), start)
-        yield "", line, (start if comment < 0 else comment) - line_start + 1
-        return
-
-
-def _check_tokens(text: str) -> None:
-    """Raise LoopSyntaxError at the first character of text that starts no token."""
-    for tok, line, col in _scan(text):
-        valid = _is_ident(tok) or tok in _KEYWORDS or tok in _PUNCT or tok[:1].isdecimal()
-        if tok and not valid:
-            raise LoopSyntaxError(line, col, "a token", repr(tok[0]))
+    m = next(islice(_TOKEN_RE.finditer(text), index, None))
+    start = m.start(1)
+    line_start = text.rfind("\n", 0, start) + 1  # offset of the line's first character
+    if not m.group(1):
+        comment = text.find("#", max(m.start(), line_start), start)
+        if comment >= 0:
+            start = comment
+    return text.count("\n", 0, start) + 1, start - line_start + 1
 
 
 def _shown(tok: str) -> str:
@@ -136,10 +123,10 @@ class _Parser:
         self.pos = 0
 
     def error(self, expected: str, found: str | None = None) -> LoopSyntaxError:
-        """A syntax error at the next token, located by scanning the text again."""
+        """A syntax error at the next token."""
         if found is None:
             found = _shown(self.tokens[self.pos])
-        _, line, col = next(islice(_scan(self.text), self.pos, None))
+        line, col = _locate(self.text, self.pos)
         return LoopSyntaxError(line, col, expected, found)
 
     def take(self, tok: str) -> None:
@@ -306,10 +293,15 @@ class _Parser:
 
 def parse(text: str) -> LoopProgram:
     """Parse loop-file text; raises LoopSyntaxError/ShapeError/MissingInitError."""
+    parser = _Parser(text)
     try:
-        return _Parser(text).program()
+        return parser.program()
     except ParseError:
-        _check_tokens(text)
+        for index, tok in enumerate(parser.tokens):
+            valid = _is_ident(tok) or tok in _KEYWORDS or tok in _PUNCT or tok[:1].isdecimal()
+            if tok and not valid:
+                line, col = _locate(text, index)
+                raise LoopSyntaxError(line, col, "a token", repr(tok[0]))
         raise
 
 
