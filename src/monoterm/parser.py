@@ -1,4 +1,4 @@
-"""Loop-file parser and pretty-printer.
+r"""Loop-file parser and pretty-printer.
 
 Grammar (whitespace insignificant, '#' comments to end of line):
 
