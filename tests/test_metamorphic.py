@@ -32,9 +32,10 @@ ops = st.sampled_from(sorted(OPS))
 constants = st.one_of(st.integers(-20, 20), st.integers(-(10**12), 10**12))
 updates = st.tuples(st.integers(0, 4), constants)
 
+diagonals = st.builds(diagonal, ops, constants, updates, updates, constants, constants)
 loops = st.one_of(
     st.builds(single, ops, constants, updates, constants),
-    st.builds(diagonal, ops, constants, updates, updates, constants, constants),
+    diagonals,
     st.builds(multipath, ops, constants, ops, constants, updates, updates, constants),
 )
 
@@ -90,7 +91,7 @@ def test_translation_keeps_the_verdict(program, k, j):
     assert_same_verdict(program, image(program, 1, {"x": -k, "y": -j}))
 
 
-@given(st.builds(diagonal, ops, constants, updates, updates, constants, constants))
+@given(diagonals)
 def test_swapping_a_diagonal_guards_sides_keeps_the_verdict(program):
     s = program.shape
     g = s.guard
