@@ -23,14 +23,16 @@ def decide(program: LoopProgram, search_budget: int = SEARCH_BUDGET) -> Verdict:
     ValueError."""
     if search_budget < 1:
         raise ValueError("search_budget must be >= 1")
-    init = program.initial_env()
-    shape = program.shape
+    program.check_bound()
+    # the deciders only read init, so it is passed as it is, not copied; the
+    # multipath shape goes first, as the commonest in alternating corpora
+    shape, init = program
     try:
+        if isinstance(shape, MultiPathLoop):
+            return decide_multipath(shape, init, search_budget)
         if isinstance(shape, SinglePathLoop):
             return decide_single(shape, init)
-        if isinstance(shape, DiagonalLoop):
-            return decide_diagonal_program(shape, init, search_budget)
-        assert isinstance(shape, MultiPathLoop)
-        return decide_multipath(shape, init, search_budget)
+        assert isinstance(shape, DiagonalLoop)
+        return decide_diagonal_program(shape, init, search_budget)
     except NonMonotoneUpdateError as err:
         return Unsupported(str(err))

@@ -144,6 +144,11 @@ _ROW_FORMULAS: dict[int, tuple[tuple[str, ...], ...]] = {
     )
     for row in rows
 }
+#: The same table with every token split once into (subject, relation).
+_ROW_CONJUNCTS: dict[int, tuple[tuple[tuple[str, str], ...], ...]] = {
+    row: tuple(tuple(tuple(token.split("~")) for token in d) for d in disjuncts)
+    for row, disjuncts in _ROW_FORMULAS.items()
+}
 
 
 def formula_applies(row: int, loop: MultiPathLoop, x0: int) -> bool:
@@ -189,7 +194,7 @@ def nt_formula(row: int, loop: MultiPathLoop, x0: int) -> FormulaWitness | None:
             ),
             bindings=(("x0", x0), ("c", phi.bound)),
         )
-    if not formula_applies(row, loop, x0):
+    if row not in _ROW_CONJUNCTS or not formula_applies(row, loop, x0):
         return None
     cond = loop.branch_cond
     bindings: dict[str, int] = {"x0": x0, "c": phi.bound, "c1": cond.bound}
@@ -203,12 +208,11 @@ def nt_formula(row: int, loop: MultiPathLoop, x0: int) -> FormulaWitness | None:
     # is constant) to the edge of its region
     a, b, upper, limit = _branches(loop)[const_then]
     psi = "psi(" if upper else "psi'("
-    for index, disjunct in enumerate(_ROW_FORMULAS[row]):
+    for index, disjunct in enumerate(_ROW_CONJUNCTS[row]):
         conjuncts: list[tuple[str, bool]] = []
-        for token in disjunct:
-            subject, relation = token.split("~")
+        for subject, relation in disjunct:
             atom, bound_name = (phi, "c") if relation == "phi" else (cond, "c1")
-            op = atom.op.negated() if relation == "!B" else atom.op
+            op = atom.op.complement if relation == "!B" else atom.op
             if subject.startswith("psi("):
                 arg = subject[4:-1]
                 subject = f"{psi}{arg})"
@@ -237,7 +241,7 @@ _Branch = tuple[int, int, bool, int]
 def _branches(loop: MultiPathLoop) -> tuple[_Branch, _Branch]:
     """The then- and else-branch as (coeff, offset, region_is_upper, limit)."""
     cond, then_u, else_u = loop.branch_cond, loop.then_update, loop.else_update
-    else_op = cond.op.negated()
+    else_op = cond.op.complement
     return (
         (then_u.coeff, then_u.offset, cond.op.bounded_above, cond.op.limit(cond.bound)),
         (else_u.coeff, else_u.offset, else_op.bounded_above, else_op.limit(cond.bound)),
@@ -391,8 +395,9 @@ def decide_multipath(loop: MultiPathLoop, init: Env, search_budget: int = SEARCH
     the walk found: the one multipath NonTerminating is T3-row<n>, with
     nt_formula's witness where the row explains the walk and the walk's own
     witness elsewhere."""
-    x0 = init[loop.guard.var]
-    if not loop.guard.op.holds(x0, loop.guard.bound):
+    guard = loop.guard
+    x0 = init[guard.var]
+    if not guard.op.holds(x0, guard.bound):
         return Terminating(0)
     row = case_row(loop, x0)
     found = accelerated_walk(loop, x0, search_budget)

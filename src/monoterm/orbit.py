@@ -34,10 +34,11 @@ def direction(upd: Update, start: int) -> Direction:
     from its first step.  A negative coefficient flips the difference sign
     every step and is rejected as non-monotone.
     """
-    d = upd.first_difference(start)
-    if upd.coeff == 0 or d == 0:
+    a, b = upd
+    d = (a - 1) * start + b  # upd.first_difference(start), inline: a call per direction costs
+    if a == 0 or d == 0:
         return _FLAT
-    if upd.coeff < 0:
+    if a < 0:
         raise NonMonotoneUpdateError(upd)
     return _UP if d > 0 else _DOWN
 

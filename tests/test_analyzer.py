@@ -7,8 +7,11 @@ import pytest
 
 from monoterm import (
     DiagonalFreeGuard,
+    DiagonalGuard,
+    DiagonalLoop,
     DivergenceWitness,
     LoopProgram,
+    MultiPathLoop,
     NonTerminating,
     RelOp,
     SinglePathLoop,
@@ -18,6 +21,7 @@ from monoterm import (
     Update,
     decide,
     parse,
+    run,
 )
 
 from conftest import NEG_MOVING
@@ -70,11 +74,25 @@ def test_classify_and_walk_give_one_non_monotone_text():
     assert walked == Unsupported("non-monotone update x := -1*x + 0: alternates direction")
 
 
+_X_GT_0 = DiagonalFreeGuard("x", RelOp.GT, 0)
+_DIAGONAL = DiagonalLoop(DiagonalGuard("x", "y", RelOp.GT, 0), Update(1, 1), Update(1, 0))
+#: (shape, init, the variable the error names)
+UNBOUND = [
+    (SinglePathLoop(_X_GT_0, Update(1, -1)), {}, "x"),
+    (_DIAGONAL, {"x": 1}, "y"),
+    (_DIAGONAL, {}, "x"),  # both unbound: the first in guard order is named
+    (MultiPathLoop(_X_GT_0, DiagonalFreeGuard("x", RelOp.LT, 5), Update(1, 1), Update(0, 0)),
+     {"y": 3}, "x"),
+]
+
+
 def test_hand_built_program_without_init_raises_unbound_variable():
-    shape = SinglePathLoop(DiagonalFreeGuard("x", RelOp.GT, 0), Update(1, -1))
-    with pytest.raises(UnboundVariableError) as exc:
-        decide(LoopProgram(shape, {}))
-    assert exc.value.var == "x"
+    for shape, init, var in UNBOUND:
+        program = LoopProgram(shape, init)
+        for call in (decide, run):
+            with pytest.raises(UnboundVariableError) as exc:
+                call(program)
+            assert exc.value.var == var, (call, program)
 
 
 @pytest.mark.parametrize("budget", (0, -3))

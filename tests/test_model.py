@@ -106,10 +106,10 @@ def test_star_import_resolves_every_export():
 @given(ints, ints, relops)
 def test_guard_negation_is_complement(value, bound, op):
     # The else branch of a condition `x op c` is the region where
-    # op.negated() holds; it must be the exact complement of the guard.
+    # op.complement holds; it must be the exact complement of the guard.
     atom = DiagonalFreeGuard("x", op, bound)
-    negated = atom.op.negated()
-    assert negated.negated() is atom.op
+    negated = atom.op.complement
+    assert negated.complement is atom.op
     assert negated.bounded_below == atom.op.bounded_above
     assert atom.op.holds(value, atom.bound) != negated.holds(value, atom.bound)
 
@@ -117,7 +117,7 @@ def test_guard_negation_is_complement(value, bound, op):
 @given(ints, ints, ints, relops)
 def test_diagonal_negation_is_complement(x, y, bound, op):
     atom = DiagonalGuard("x", "y", op, bound)
-    negated = atom.op.negated()
+    negated = atom.op.complement
     assert atom.op.holds(x - y, atom.bound) != negated.holds(x - y, atom.bound)
 
 
