@@ -3,12 +3,13 @@
     python3 .github/check_bench.py BENCH_JSON [--records N] [--walk-witnesses]
 
 Exits 1 when there are no records, when a record holds an error, an
-oracle disagreement, a formula witness that is not satisfied (a negative
-disjunct or a false conjunct) or a procedure that is not its rule's (a
-non-terminating witness names "alg3" exactly on T3-row21-22 and "alg4"
-exactly on T3-row23-24), when --records is given and the record count
-differs, or when --walk-witnesses is given and no witness is a recurrent
-interval, none names "alg3" or none names "alg4".
+oracle disagreement, a decided verdict with no oracle object (output not
+written with --oracle-check), a formula witness that is not satisfied (a
+negative disjunct or a false conjunct) or a procedure that is not its
+rule's (a non-terminating witness names "alg3" exactly on T3-row21-22 and
+"alg4" exactly on T3-row23-24), when --records is given and the record
+count differs, or when --walk-witnesses is given and no witness is a
+recurrent interval, none names "alg3" or none names "alg4".
 """
 
 import argparse
@@ -19,6 +20,8 @@ import sys
 PROCEDURES = {"T3-row21": "alg3", "T3-row22": "alg3", "T3-row23": "alg4", "T3-row24": "alg4"}
 #: What --walk-witnesses needs one of each of: a witness kind or a procedure.
 WALK_WITNESSES = ("recurrent", "alg3", "alg4")
+#: The verdicts the oracle checks; it skips unsupported ones.
+DECIDED = ("terminating", "nonterminating")
 
 
 def refuted(witness: dict | None) -> bool:
@@ -26,6 +29,11 @@ def refuted(witness: dict | None) -> bool:
     if not witness or witness.get("kind") != "formula":
         return False
     return witness["disjunct"] < 0 or not all(value is True for _, value in witness["conjuncts"])
+
+
+def unchecked(record: dict) -> bool:
+    """True for a decided record that carries no oracle object."""
+    return record.get("verdict") in DECIDED and "oracle" not in record
 
 
 def misnamed(record: dict) -> bool:
@@ -48,14 +56,15 @@ def main() -> int:
         r for r in records
         if "error" in r
         or r.get("oracle", {}).get("agrees") is False
+        or unchecked(r)
         or refuted(r.get("witness"))
         or misnamed(r)
     ]
     witnesses = [r.get("witness") or {} for r in records]
     counts = {kind: sum(kind in (w.get("kind"), w.get("procedure")) for w in witnesses)
               for kind in WALK_WITNESSES}
-    print(f"{len(records)} records, {len(bad)} with an error, an oracle disagreement, an "
-          f"unsatisfied formula or a procedure not its rule's; witnesses by kind or "
+    print(f"{len(records)} records, {len(bad)} with an error, an oracle disagreement or "
+          f"none, an unsatisfied formula or a procedure not its rule's; witnesses by kind or "
           f"procedure: {counts}")
     for record in bad:
         print(record)

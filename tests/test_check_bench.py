@@ -55,6 +55,13 @@ def changed(index: int, **fields) -> list[dict]:
     return records
 
 
+def without(index: int, field: str) -> list[dict]:
+    """CLEAN with `field` dropped from record `index`."""
+    records = [dict(r) for r in CLEAN]
+    del records[index][field]
+    return records
+
+
 def test_clean_records_pass(tmp_path):
     assert check(tmp_path, CLEAN) == 0
     assert check(tmp_path, CLEAN, "--records", "5", "--walk-witnesses") == 0
@@ -66,6 +73,7 @@ def test_clean_records_pass(tmp_path):
         pytest.param([], (), id="no-records"),
         pytest.param(CLEAN + [{"file": "f.loop", "error": "internal: boom"}], (), id="error"),
         pytest.param(changed(0, oracle={**AGREES, "agrees": False}), (), id="disagreement"),
+        pytest.param(without(3, "oracle"), (), id="decided-without-oracle"),
         pytest.param(
             changed(1, witness={**FORMULA, "conjuncts": [["x0 >= c", False]]}), (),
             id="false-conjunct",
